@@ -1,7 +1,8 @@
 """Command-line interface: evaluate model files, dump their syntax trees,
 and run the verification suites.
 
-Exit codes: 0 success, 1 diagnostics or failed checks, 2 I/O problems.
+Exit codes: 0 success, 1 diagnostics or failed checks, 2 I/O problems or
+usage errors.
 The check seed resolves as --seed, then the EVIDENTIA_SEED environment
 variable, then the recorded default.
 """
@@ -207,6 +208,14 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """Argument type for counts: argparse reports a ValueError as a usage error."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evidentia",
@@ -222,7 +231,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="give the space the infinite total cardinality aleph",
     )
     cmd_eval.add_argument(
-        "--digits", type=int, default=6, help="decimal digits for approximations"
+        "--digits", type=non_negative_int, default=6, help="decimal digits for approximations"
     )
     cmd_eval.add_argument("--format", choices=("text", "json"), default="text")
     cmd_eval.set_defaults(run=_cmd_eval)
@@ -234,7 +243,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     cmd_check.add_argument("--seed", type=int, default=None, help="random seed")
     cmd_check.add_argument(
         "--instances",
-        type=int,
+        type=non_negative_int,
         default=None,
         help="randomized cases per suite (0 skips everything)",
     )

@@ -90,8 +90,10 @@ def _number_label(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _continuum_dimension(decl: ast.ContinuumDecl) -> Dimension:
-    count = 1 if decl.tranches is None else decl.tranches
+def _dimension(decl: ast.DimensionDecl | ast.ContinuumDecl) -> Dimension:
+    if isinstance(decl, ast.DimensionDecl):
+        return Dimension(decl.name, decl.labels)
+    count = decl.tranches or 1
     width = (decl.high - decl.low) / count
     bounds = []
     labels = []
@@ -106,29 +108,22 @@ def _continuum_dimension(decl: ast.ContinuumDecl) -> Dimension:
 def _comparison_indices(dim: Dimension, node: ast.Comparison) -> set[int]:
     # Whole tranches only: [lo, hi) lies inside "x < t" / "x <= t" exactly
     # when hi <= t, and inside "x > t" / "x >= t" exactly when lo >= t (a
-    # boundary point is one atom, below tranche resolution).
+    # boundary point is one atom, below tranche resolution).  A tranche left
+    # out has t below hi (resp. above lo), so it is split when t is above lo
+    # (resp. below hi).
     assert dim.bounds is not None
     below = node.op in ("<", "<=")
+    t = node.value
     out = set()
     for i, (lo, hi) in enumerate(dim.bounds):
-        if below:
-            if hi <= node.value:
-                out.add(i)
-            elif lo < node.value:
-                raise _LoweringError(
-                    f"threshold {node.value} splits tranche {dim.labels[i]} of "
-                    f"{dim.name!r}; rebuild with a finer tranche count",
-                    node.span,
-                )
-        else:
-            if lo >= node.value:
-                out.add(i)
-            elif hi > node.value:
-                raise _LoweringError(
-                    f"threshold {node.value} splits tranche {dim.labels[i]} of "
-                    f"{dim.name!r}; rebuild with a finer tranche count",
-                    node.span,
-                )
+        if (hi <= t) if below else (lo >= t):
+            out.add(i)
+        elif (lo < t) if below else (hi > t):
+            raise _LoweringError(
+                f"threshold {t} splits tranche {dim.labels[i]} of "
+                f"{dim.name!r}; rebuild with a finer tranche count",
+                node.span,
+            )
     return out
 
 
@@ -155,16 +150,18 @@ def _lower(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
         return _lower(space, pred.left) & _lower(space, pred.right)
     if isinstance(pred, ast.OrPred):
         return _lower(space, pred.left) | _lower(space, pred.right)
-    if isinstance(pred, ast.LabelIs):
+    if isinstance(pred, (ast.LabelIs, ast.LabelIn)):
         dim = _find_dimension(space, pred.dimension, pred.span)
-        return space.axis_proposition(
-            pred.dimension, {dim.labels.index(pred.label)}
-        )
-    if isinstance(pred, ast.LabelIn):
-        dim = _find_dimension(space, pred.dimension, pred.span)
-        return space.axis_proposition(
-            pred.dimension, {dim.labels.index(l) for l in pred.labels}
-        )
+        names = (pred.label,) if isinstance(pred, ast.LabelIs) else pred.labels
+        wanted = set(names)
+        indices = {i for i, label in enumerate(dim.labels) if label in wanted}
+        if len(indices) < len(wanted):
+            missing = next(name for name in names if name not in dim.labels)
+            raise _LoweringError(
+                f"unknown label {missing!r} for dimension {pred.dimension!r}",
+                pred.span,
+            )
+        return space.axis_proposition(pred.dimension, indices)
     if isinstance(pred, ast.Comparison):
         dim = _find_dimension(space, pred.dimension, pred.span)
         if dim.bounds is None:
@@ -204,11 +201,12 @@ def compile_model(
                 )
             ]
         )
-    dims: list[Dimension] = []
+    # Count the atoms from the declarations alone: an over-limit model is
+    # rejected before any of its tranches is built.
     size = 1
     for decl in model.declarations:
         if isinstance(decl, ast.DimensionDecl):
-            dims.append(Dimension(decl.name, decl.labels))
+            size *= len(decl.labels)
         else:
             if decl.tranches is None and not scaled:
                 diagnostics.append(
@@ -219,8 +217,7 @@ def compile_model(
                         decl.span,
                     )
                 )
-            dims.append(_continuum_dimension(decl))
-        size *= len(dims[-1].labels)
+            size *= decl.tranches or 1
     if size > atom_limit:
         diagnostics.append(
             Diagnostic(
@@ -232,7 +229,7 @@ def compile_model(
     if diagnostics:
         raise ModelError(diagnostics)
 
-    space = PossibilitySpace(dims, scaled=scaled)
+    space = PossibilitySpace([_dimension(d) for d in model.declarations], scaled=scaled)
 
     partitions: dict[str, StateSpacePartition] = {}
     for part in model.partitions:

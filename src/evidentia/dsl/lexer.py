@@ -39,9 +39,6 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     line_start = 0
     n = len(source)
 
-    def span(start: int, end: int, start_line: int, start_col: int) -> SourceSpan:
-        return SourceSpan(start, end, start_line, start_col)
-
     while pos < n:
         ch = source[pos]
         if ch == "\n":
@@ -64,12 +61,12 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
                 pos += 1
             if pos >= n or source[pos] == "\n":
                 diagnostics.append(
-                    Diagnostic("unterminated string", span(start, pos, line, col))
+                    Diagnostic("unterminated string", SourceSpan(start, pos, line, col))
                 )
                 continue
             pos += 1
             tokens.append(
-                Token(STRING, source[start + 1 : pos - 1], span(start, pos, line, col))
+                Token(STRING, source[start + 1 : pos - 1], SourceSpan(start, pos, line, col))
             )
             continue
         if ch.isdigit():
@@ -79,24 +76,24 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
                 pos += 1
                 while pos < n and source[pos].isdigit():
                     pos += 1
-            tokens.append(Token(NUMBER, source[start:pos], span(start, pos, line, col)))
+            tokens.append(Token(NUMBER, source[start:pos], SourceSpan(start, pos, line, col)))
             continue
         if ch.isalpha() or ch == "_":
             while pos < n and (source[pos].isalnum() or source[pos] == "_"):
                 pos += 1
-            tokens.append(Token(IDENT, source[start:pos], span(start, pos, line, col)))
+            tokens.append(Token(IDENT, source[start:pos], SourceSpan(start, pos, line, col)))
             continue
         two = source[pos : pos + 2]
         if two in _TWO_CHAR:
             pos += 2
-            tokens.append(Token(two, two, span(start, pos, line, col)))
+            tokens.append(Token(two, two, SourceSpan(start, pos, line, col)))
             continue
         if ch in _ONE_CHAR:
             pos += 1
-            tokens.append(Token(ch, ch, span(start, pos, line, col)))
+            tokens.append(Token(ch, ch, SourceSpan(start, pos, line, col)))
             continue
         diagnostics.append(
-            Diagnostic(f"unexpected character {ch!r}", span(start, pos + 1, line, col))
+            Diagnostic(f"unexpected character {ch!r}", SourceSpan(start, pos + 1, line, col))
         )
         pos += 1
 

@@ -27,12 +27,16 @@ class _Resync(Exception):
     """Internal: unwind to the nearest statement boundary."""
 
 
+def _join(first: SourceSpan, last: SourceSpan) -> SourceSpan:
+    """The span from the start of ``first`` to the end of ``last``."""
+    return SourceSpan(first.start, last.end, first.line, first.column)
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], source_length: int):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
         self.diagnostics: list[Diagnostic] = []
-        self.source_length = source_length
         self.declarations: dict[str, ast.DimensionDecl | ast.ContinuumDecl] = {}
         self.partitions: dict[str, ast.PartitionDecl] = {}
 
@@ -147,8 +151,7 @@ class _Parser:
                 self.synchronize()
         if self.peek() is not None:
             self.error(f"expected 'query' or end of input, found {self._found()}")
-        end = self.tokens[-1].span.end if self.tokens else 0
-        span = SourceSpan(start_span.start, end, start_span.line, start_span.column)
+        span = _join(start_span, self.tokens[-1].span if self.tokens else start_span)
         return ast.Model(name, tuple(declarations), tuple(partitions), tuple(queries), span)
 
     def parse_declaration(self):
@@ -182,8 +185,7 @@ class _Parser:
             else:
                 labels.append(label_tok.text)
         closing = self.expect("}", "',' or '}'")
-        span = SourceSpan(start.start, closing.span.end, start.line, start.column)
-        return ast.DimensionDecl(name, tuple(labels), span)
+        return ast.DimensionDecl(name, tuple(labels), _join(start, closing.span))
 
     def _number(self, what: str) -> tuple[Fraction, Token]:
         tok = self.expect(NUMBER, what)
@@ -216,8 +218,7 @@ class _Parser:
                 f"continuum {name!r} needs 'from' below 'to' ({low} >= {high})",
                 high_tok.span,
             )
-        span = SourceSpan(start.start, end_tok.span.end, start.line, start.column)
-        return ast.ContinuumDecl(name, low, high, tranches, span)
+        return ast.ContinuumDecl(name, low, high, tranches, _join(start, end_tok.span))
 
     def parse_partition(self) -> ast.PartitionDecl:
         start = self.advance().span
@@ -238,25 +239,18 @@ class _Parser:
                     block_name_tok.span,
                 )
             else:
-                span = SourceSpan(
-                    block_name_tok.span.start,
-                    semi.span.end,
-                    block_name_tok.span.line,
-                    block_name_tok.span.column,
-                )
+                span = _join(block_name_tok.span, semi.span)
                 blocks.append(ast.Block(block_name_tok.text, predicate, span))
         closing = self.advance()
         if not blocks:
             self.error(f"partition {name!r} has no blocks", start)
-        span = SourceSpan(start.start, closing.span.end, start.line, start.column)
-        return ast.PartitionDecl(name, tuple(blocks), span)
+        return ast.PartitionDecl(name, tuple(blocks), _join(start, closing.span))
 
     def parse_query(self) -> ast.Query:
         start = self.advance().span
 
         def finish(kind, predicate=None, given=None, partition=None, end=None):
-            end_offset = end.end if end else start.end
-            span = SourceSpan(start.start, end_offset, start.line, start.column)
+            span = _join(start, end or start)
             return ast.Query(kind, predicate, given, partition, span)
 
         if self.at_keyword("atomic"):
@@ -301,10 +295,7 @@ class _Parser:
         while self.at_keyword("or"):
             self.advance()
             right = self.parse_and()
-            span = SourceSpan(
-                left.span.start, right.span.end, left.span.line, left.span.column
-            )
-            left = ast.OrPred(left, right, span)
+            left = ast.OrPred(left, right, _join(left.span, right.span))
         return left
 
     def parse_and(self) -> ast.Predicate:
@@ -312,18 +303,14 @@ class _Parser:
         while self.at_keyword("and"):
             self.advance()
             right = self.parse_unary()
-            span = SourceSpan(
-                left.span.start, right.span.end, left.span.line, left.span.column
-            )
-            left = ast.AndPred(left, right, span)
+            left = ast.AndPred(left, right, _join(left.span, right.span))
         return left
 
     def parse_unary(self) -> ast.Predicate:
         if self.at_keyword("not"):
             start = self.advance().span
             operand = self.parse_unary()
-            span = SourceSpan(start.start, operand.span.end, start.line, start.column)
-            return ast.NotPred(operand, span)
+            return ast.NotPred(operand, _join(start, operand.span))
         return self.parse_atom()
 
     def _declared(self, name_tok: Token):
@@ -362,12 +349,7 @@ class _Parser:
                 self.advance()
                 label_tok = self.parse_label()
                 self._check_label(decl, label_tok, name_tok.text)
-                span = SourceSpan(
-                    name_tok.span.start,
-                    label_tok.span.end,
-                    name_tok.span.line,
-                    name_tok.span.column,
-                )
+                span = _join(name_tok.span, label_tok.span)
                 return ast.LabelIs(name_tok.text, label_tok.text, span)
             if self.at_keyword("in"):
                 self.advance()
@@ -383,12 +365,7 @@ class _Parser:
                     if label_tok.text not in labels:
                         labels.append(label_tok.text)
                 closing = self.expect("}", "',' or '}'")
-                span = SourceSpan(
-                    name_tok.span.start,
-                    closing.span.end,
-                    name_tok.span.line,
-                    name_tok.span.column,
-                )
+                span = _join(name_tok.span, closing.span)
                 return ast.LabelIn(name_tok.text, tuple(labels), span)
             for op in _COMPARE_OPS:
                 if self.at(op):
@@ -400,12 +377,7 @@ class _Parser:
                             f"{name_tok.text!r} is a labelled dimension",
                             name_tok.span,
                         )
-                    span = SourceSpan(
-                        name_tok.span.start,
-                        value_tok.span.end,
-                        name_tok.span.line,
-                        name_tok.span.column,
-                    )
+                    span = _join(name_tok.span, value_tok.span)
                     return ast.Comparison(name_tok.text, op, value, span)
             self.error(
                 f"expected '==', 'in' or a comparison after {name_tok.text!r}, "
@@ -428,7 +400,7 @@ def parse_model(source: str, filename: str = "<model>") -> ast.Model:
     tokens, diagnostics = tokenize(source)
     if not tokens and not diagnostics:
         raise ModelError([Diagnostic("empty model", SourceSpan(0, 0, 1, 1))])
-    parser = _Parser(tokens, len(source))
+    parser = _Parser(tokens)
     parser.diagnostics.extend(diagnostics)
     model = parser.parse_file()
     if parser.diagnostics:

@@ -18,7 +18,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hyperrational import Hyperrational, MagnitudeClass
+from .hyperrational import Hyperrational, MagnitudeClass, rounded_text
 from .spaces import PossibilitySpace, Proposition, StateSpacePartition
 
 
@@ -132,12 +132,7 @@ def _log_decimal(value: Fraction, digits: int, base: str) -> str:
             result /= decimal.Decimal(2).ln()
         elif base == "10":
             result /= decimal.Decimal(10).ln()
-        rounded = result.quantize(
-            decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN
-        )
-    if not rounded:
-        rounded = abs(rounded)
-    return format(rounded, "f")
+        return rounded_text(result, digits)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ Laurent polynomial and prints as a sum of power terms in descending degree:
 ``aleph/2``, ``1/2 + 3/aleph``, ``3/4 + 5/(4*aleph)``.  Anything else
 prints as an explicit quotient of integer polynomials, such as
 ``(3*aleph + 5)/(4*aleph + 1)``.  :meth:`Hyperrational.parse` reads the
-same syntax back, bit-exactly.
+same syntax back, bit-exactly.  Because its text may come from outside
+the program, it rejects any exponent, and any polynomial it would build
+along the way, of degree above :data:`MAX_PARSE_DEGREE` (64).
 
 Instances are immutable and safe to share between threads.
 """
@@ -37,6 +39,7 @@ Instances are immutable and safe to share between threads.
 from __future__ import annotations
 
 import decimal
+import operator
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -53,6 +56,10 @@ class MagnitudeClass(Enum):
     def __str__(self) -> str:
         return self.value
 
+
+#: Highest exponent, and highest degree of any intermediate polynomial,
+#: that :meth:`Hyperrational.parse` accepts.
+MAX_PARSE_DEGREE = 64
 
 # Polynomials are tuples of int coefficients, lowest degree first, with no
 # trailing zero coefficient; () is the zero polynomial.
@@ -89,18 +96,9 @@ def _mul(p, q):
     return _trim(out)
 
 
-def _content(p):
-    g = 0
-    for c in p:
-        g = gcd(g, c)
-    return g
-
-
 def _primitive(p):
     # Divide out the content, keeping signs; () stays ().
-    g = 0
-    for c in p:
-        g = gcd(g, c)
+    g = gcd(*p)
     if g <= 1:
         return tuple(p)
     return tuple(c // g for c in p)
@@ -168,7 +166,7 @@ def _canonical(num, den):
         if len(g) > 1:
             num = _div_exact(num, g)
             den = _div_exact(den, g)
-    c = gcd(_content(num), _content(den))
+    c = gcd(*num, *den)
     if c > 1:
         num = tuple(x // c for x in num)
         den = tuple(x // c for x in den)
@@ -183,6 +181,15 @@ def _eval_poly(p, x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def _lead_sign(p) -> int:
+    return (p[-1] > 0) - (p[-1] < 0) if p else 0
+
+
+def _cross_diff(a, b):
+    # Numerator of a - b over the denominator a.den * b.den, not reduced.
+    return _add(_mul(a._num, b._den), _neg(_mul(b._num, a._den)))
 
 
 class Hyperrational:
@@ -282,9 +289,7 @@ class Hyperrational:
     def _coerce(value):
         if isinstance(value, Hyperrational):
             return value
-        if isinstance(value, int):
-            return Hyperrational(value)
-        if isinstance(value, Fraction):
+        if isinstance(value, (int, Fraction)):
             return Hyperrational(value)
         return None
 
@@ -303,10 +308,7 @@ class Hyperrational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Hyperrational._raw(
-            _add(_mul(self._num, o._den), _neg(_mul(o._num, self._den))),
-            _mul(self._den, o._den),
-        )
+        return Hyperrational._raw(_cross_diff(self, o), _mul(self._den, o._den))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -343,7 +345,7 @@ class Hyperrational:
         return self
 
     def __abs__(self):
-        return -self if self._sign() < 0 else self
+        return -self if _lead_sign(self._num) < 0 else self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -369,13 +371,11 @@ class Hyperrational:
 
     # -- order -------------------------------------------------------------
 
-    def _sign(self) -> int:
-        if not self._num:
-            return 0
-        return 1 if self._num[-1] > 0 else -1
-
     def _diff_sign(self, other) -> int:
-        return (self - other)._sign()
+        # Sign of self - other without canonicalising it: both denominators
+        # have positive leading coefficients, so it is the sign of the
+        # cross-multiplied numerator.
+        return _lead_sign(_cross_diff(self, other))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -418,21 +418,7 @@ class Hyperrational:
             return "0"
         if sum(1 for c in den if c) == 1:
             # Denominator is a single aleph power: print the Laurent sum.
-            k = len(den) - 1
-            scale = den[-1]
-            parts = []
-            for i in range(len(num) - 1, -1, -1):
-                if num[i] == 0:
-                    continue
-                coeff = Fraction(num[i], scale)
-                parts.append((coeff < 0, _laurent_term(i - k, coeff)))
-            chunks = []
-            for idx, (negative, body) in enumerate(parts):
-                if idx == 0:
-                    chunks.append(("-" if negative else "") + body)
-                else:
-                    chunks.append((" - " if negative else " + ") + body)
-            return "".join(chunks)
+            return _poly_text(num, len(den) - 1, den[-1])
         num_text = _poly_text(num)
         if sum(1 for c in num if c) > 1:
             num_text = f"({num_text})"
@@ -463,26 +449,20 @@ def _laurent_term(degree: int, coeff: Fraction) -> str:
     return f"{p}/({q}*{base})"
 
 
-def _poly_text(p) -> str:
-    terms = []
+def _poly_text(p, shift: int = 0, scale: int = 1) -> str:
+    # The signed sum of the terms c*aleph^(d - shift)/scale, highest degree
+    # first; scale > 0, so each term's sign is its coefficient's.
+    chunks = []
     for d in range(len(p) - 1, -1, -1):
         c = p[d]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if d == 0:
-            body = str(mag)
-        else:
-            base = "aleph" if d == 1 else f"aleph^{d}"
-            body = base if mag == 1 else f"{mag}*{base}"
-        terms.append((c < 0, body))
-    chunks = []
-    for idx, (negative, body) in enumerate(terms):
-        if idx == 0:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
+        if c:
+            sign = (" - " if c < 0 else " + ") if chunks else ("-" if c < 0 else "")
+            chunks.append(sign + _laurent_term(d - shift, Fraction(c, scale)))
     return "".join(chunks)
+
+
+def _degree(value: Hyperrational) -> int:
+    return max(len(value._num), len(value._den)) - 1
 
 
 class _Reader:
@@ -506,6 +486,11 @@ class _Reader:
     def _fail(self, message: str):
         raise ValueError(f"bad hyperrational literal at offset {self.pos}: {message}")
 
+    def _check_degree(self, degree: int):
+        # Called before building a polynomial of this degree.
+        if degree > MAX_PARSE_DEGREE:
+            self._fail(f"degree {degree} is above the limit of {MAX_PARSE_DEGREE}")
+
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -514,26 +499,23 @@ class _Reader:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def _expr(self) -> Hyperrational:
-        value = self._term()
-        while True:
-            self._skip_ws()
-            op = self._peek()
-            if op not in ("+", "-"):
-                return value
-            self.pos += 1
-            rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
+        return self._chain({"+": operator.add, "-": operator.sub}, self._term)
 
     def _term(self) -> Hyperrational:
-        value = self._factor()
+        return self._chain({"*": operator.mul, "/": operator.truediv}, self._factor)
+
+    def _chain(self, ops, operand) -> Hyperrational:
+        # operand ((op) operand)*, folded left to right.
+        value = operand()
         while True:
             self._skip_ws()
             op = self._peek()
-            if op not in ("*", "/"):
+            if op not in ops:
                 return value
             self.pos += 1
-            rhs = self._factor()
-            value = value * rhs if op == "*" else value / rhs
+            rhs = operand()
+            self._check_degree(_degree(value) + _degree(rhs))
+            value = ops[op](value, rhs)
 
     def _factor(self) -> Hyperrational:
         self._skip_ws()
@@ -568,7 +550,9 @@ class _Reader:
                 dstart = self.pos
                 while self._peek().isdigit():
                     self.pos += 1
-                return ALEPH ** int(self.text[dstart : self.pos])
+                exponent = int(self.text[dstart : self.pos])
+                self._check_degree(exponent)
+                return ALEPH**exponent
             return ALEPH
         self._fail("expected a number, 'aleph', '-' or '('")
         raise AssertionError  # unreachable
@@ -591,9 +575,14 @@ def decimal_approximation(value: Hyperrational, digits: int = 6) -> str:
     with decimal.localcontext() as ctx:
         ctx.prec = digits + len(str(abs(frac.numerator))) + 5
         quotient = decimal.Decimal(frac.numerator) / decimal.Decimal(frac.denominator)
-        rounded = quotient.quantize(
-            decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN
-        )
-    if not rounded:
-        rounded = abs(rounded)  # never print "-0.000000"
-    return format(rounded, "f")
+        return rounded_text(quotient, digits)
+
+
+def rounded_text(value: decimal.Decimal, digits: int) -> str:
+    """``value`` rounded half-even to ``digits`` places, as fixed-point text
+    that never reads ``-0``.  ``quantize`` needs a context whose precision
+    covers the integer digits plus ``digits``, so call it inside one."""
+    rounded = value.quantize(
+        decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN
+    )
+    return format(rounded if rounded else abs(rounded), "f")

@@ -92,6 +92,14 @@ def test_eval_digits_flag(capsys, fixture_path):
     assert "P(rank == A) = 1/13 ≈ 0.08" in out
 
 
+@pytest.mark.parametrize("command, flag", [("eval", "--digits"), ("check", "--instances")])
+def test_negative_count_flag_is_a_usage_error(capsys, fixture_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture_path("coin"), flag, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid non_negative_int value: '-1'" in capsys.readouterr().err
+
+
 def test_eval_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "eval", "no/such/file.evd")
     assert code == 2

@@ -1,5 +1,7 @@
 """Tests for lowering models to spaces and executable queries."""
 
+import tracemalloc
+
 import pytest
 
 from evidentia import ALEPH, Hyperrational, fixtures
@@ -99,10 +101,28 @@ def test_boundary_comparisons_resolve_exactly():
     assert values["P(t > 500)"] == Hyperrational(0)
 
 
-def test_interior_threshold_is_a_compile_error():
-    source = 'model "q" { continuum t from 0 to 90 tranches 90 }\nquery P(t < 44.5)'
-    with pytest.raises(ModelError, match="splits tranche"):
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_interior_threshold_is_a_compile_error(op):
+    source = f'model "q" {{ continuum t from 0 to 90 tranches 90 }}\nquery P(t {op} 44.5)'
+    with pytest.raises(ModelError, match=r"splits tranche \[44,45\)"):
         compiled(source)
+
+
+def test_over_limit_model_is_rejected_before_building_tranches():
+    model = parse_model(
+        'model "big" {\n'
+        "  continuum x from 0 to 1 tranches 100000\n"
+        "  continuum y from 0 to 1 tranches 100000\n"
+        "}\n"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match="model spans 10000000000 atoms"):
+            compile_model(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_aleph_tranches_require_scaled():
@@ -204,3 +224,15 @@ def test_lower_predicate_standalone():
     assert prop.count == 4
     with pytest.raises(ModelError, match="unknown dimension"):
         lower_predicate(space, ast.LabelIs("ghost", "A"))
+
+
+@pytest.mark.parametrize(
+    "pred",
+    [ast.LabelIs("rank", "Z"), ast.LabelIn("rank", ("A", "Z", "K"))],
+    ids=["is", "in"],
+)
+def test_unknown_label_is_a_span_tagged_model_error(pred):
+    space = compile_model(parse_model(fixtures.source("deck"), "deck")).space
+    with pytest.raises(ModelError, match="unknown label 'Z' for dimension 'rank'") as exc:
+        lower_predicate(space, pred)
+    assert [d.span for d in exc.value.diagnostics] == [pred.span]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from evidentia import ALEPH, Hyperrational, MagnitudeClass, decimal_approximation
+from evidentia.hyperrational import MAX_PARSE_DEGREE
 
 INF = MagnitudeClass.INFINITE
 APP = MagnitudeClass.APPRECIABLE
@@ -195,6 +196,8 @@ def test_as_fraction_requires_rational():
         (2 * ALEPH / 3, "2*aleph/3"),
         (Hyperrational(-1, 2) - 3 / ALEPH, "-1/2 - 3/aleph"),
         (ALEPH / (ALEPH + 1), "aleph/(aleph + 1)"),
+        ((1 - ALEPH**2) / (ALEPH + 2), "(-aleph^2 + 1)/(aleph + 2)"),
+        ((2 * ALEPH**3 - 1) / (3 * ALEPH**2 + ALEPH), "(2*aleph^3 - 1)/(3*aleph^2 + aleph)"),
     ],
 )
 def test_render_and_reparse(value, text):
@@ -206,6 +209,11 @@ def test_parse_rejects_garbage():
     for bad in ("", "aleph +", "omega", "1..2", "(1", "1/", "@"):
         with pytest.raises(ValueError):
             Hyperrational.parse(bad)
+    limit = MAX_PARSE_DEGREE
+    assert Hyperrational.parse(f"aleph^{limit}") == ALEPH**limit
+    for huge in ("aleph^99999999999999999999", f"aleph^{limit + 1}", f"aleph^{limit}*aleph"):
+        with pytest.raises(ValueError, match="bad hyperrational literal at offset"):
+            Hyperrational.parse(huge)
 
 
 def test_repr_round_trips():
