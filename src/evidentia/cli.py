@@ -24,6 +24,8 @@ from .evidence import LogOdds, Odds
 from .hyperrational import Hyperrational, MagnitudeClass, decimal_approximation
 
 _APPROXIMABLE = (MagnitudeClass.APPRECIABLE, MagnitudeClass.ZERO)
+#: Largest ``--digits``; the time of an ``L`` query grows faster than this.
+MAX_DIGITS = 1000
 
 
 @dataclass
@@ -117,8 +119,11 @@ def _read_source(path: str) -> str | None:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
-        return None
+        reason = exc.strerror or exc
+    except UnicodeDecodeError as exc:
+        reason = exc
+    print(f"error: cannot read {path}: {reason}", file=sys.stderr)
+    return None
 
 
 def _load_compiled(path: str, scaled: bool) -> CompiledModel | None:
@@ -130,6 +135,9 @@ def _load_compiled(path: str, scaled: bool) -> CompiledModel | None:
 
 
 def _cmd_eval(args) -> int:
+    if args.digits > MAX_DIGITS:
+        print(f"error: --digits must be at most {MAX_DIGITS}", file=sys.stderr)
+        return 2
     try:
         compiled = _load_compiled(args.file, args.scaled)
     except ModelError as exc:
@@ -231,7 +239,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="give the space the infinite total cardinality aleph",
     )
     cmd_eval.add_argument(
-        "--digits", type=non_negative_int, default=6, help="decimal digits for approximations"
+        "--digits",
+        type=non_negative_int,
+        default=6,
+        help=f"decimal digits for approximations (0 to {MAX_DIGITS})",
     )
     cmd_eval.add_argument("--format", choices=("text", "json"), default="text")
     cmd_eval.set_defaults(run=_cmd_eval)

@@ -1,9 +1,10 @@
 """Tokeniser for the model language.
 
-Identifiers, numbers, double-quoted strings and punctuation; ``#`` starts a
-comment running to end of line, and whitespace separates tokens.  Every
-token carries its source span.  Illegal characters become diagnostics
-rather than exceptions so later stages can keep accumulating errors.
+Identifiers, numbers (ASCII digits only, with an optional fraction part),
+double-quoted strings and punctuation; ``#`` starts a comment running to
+end of line, and whitespace separates tokens.  Every token carries its
+source span.  Illegal characters become diagnostics rather than
+exceptions so later stages can keep accumulating errors.
 
 Keywords are not distinguished here: the parser matches identifier text in
 context, which keeps labels free to reuse words like ``to`` or ``table``.
@@ -69,12 +70,12 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
                 Token(STRING, source[start + 1 : pos - 1], SourceSpan(start, pos, line, col))
             )
             continue
-        if ch.isdigit():
-            while pos < n and source[pos].isdigit():
+        if "0" <= ch <= "9":
+            while pos < n and "0" <= source[pos] <= "9":
                 pos += 1
-            if pos + 1 < n and source[pos] == "." and source[pos + 1].isdigit():
+            if pos + 1 < n and source[pos] == "." and "0" <= source[pos + 1] <= "9":
                 pos += 1
-                while pos < n and source[pos].isdigit():
+                while pos < n and "0" <= source[pos] <= "9":
                     pos += 1
             tokens.append(Token(NUMBER, source[start:pos], SourceSpan(start, pos, line, col)))
             continue

@@ -8,6 +8,12 @@ dimensions) are parse-time diagnostics.  Errors accumulate: on a syntax
 error the parser reports what it expected, skips to the next statement
 boundary, and keeps going; :func:`parse_model` raises a single
 :class:`ModelError` carrying everything it found.
+
+Inputs that later stages could not handle are diagnostics too: a number
+literal of more than :data:`MAX_NUMBER_DIGITS` digits, checked before it
+is converted, and a predicate nested more than
+:data:`MAX_PREDICATE_DEPTH` levels deep, since the compiler and the
+printers recurse once per level.
 """
 
 from __future__ import annotations
@@ -21,6 +27,13 @@ from .lexer import IDENT, NUMBER, STRING, Token, tokenize
 _QUERY_KINDS = ("P", "O", "L", "E")
 _COMPARE_OPS = ("<", "<=", ">", ">=")
 _STATEMENT_STARTS = ("dimension", "continuum", "partition", "query")
+
+#: Deepest predicate accepted; each parenthesis level, ``not``, ``and`` and
+#: ``or`` counts as one level (a chain of n ``and`` terms is n - 1 deep).
+MAX_PREDICATE_DEPTH = 100
+#: Most digits a number literal may have; ``int`` refuses 4300.
+MAX_NUMBER_DIGITS = 1000
+_TOO_DEEP = f"predicate nests deeper than {MAX_PREDICATE_DEPTH} levels"
 
 
 class _Resync(Exception):
@@ -189,6 +202,9 @@ class _Parser:
 
     def _number(self, what: str) -> tuple[Fraction, Token]:
         tok = self.expect(NUMBER, what)
+        if len(tok.text.replace(".", "")) > MAX_NUMBER_DIGITS:
+            self.error(f"number has more than {MAX_NUMBER_DIGITS} digits", tok.span)
+            raise _Resync
         return Fraction(tok.text), tok
 
     def parse_continuum(self) -> ast.ContinuumDecl:
@@ -203,13 +219,13 @@ class _Parser:
             end_tok = self.advance()
             tranches: int | None = None
         else:
-            tok = self.expect(NUMBER, "a tranche count or 'aleph'")
+            count, tok = self._number("a tranche count or 'aleph'")
             end_tok = tok
             if "." in tok.text:
                 self.error("tranche count must be an integer", tok.span)
-                tranches = max(1, int(tok.text.split(".")[0] or "1"))
+                tranches = max(1, int(count))
             else:
-                tranches = int(tok.text)
+                tranches = int(count)
                 if tranches < 1:
                     self.error("tranche count must be at least 1", tok.span)
                     tranches = 1
@@ -287,31 +303,47 @@ class _Parser:
 
     # -- predicates ------------------------------------------------------------
 
-    def parse_predicate(self) -> ast.Predicate:
-        return self.parse_or()
+    # Each rule below takes the number of '(' and 'not' enclosing it and
+    # returns its predicate with that predicate's depth.
 
-    def parse_or(self) -> ast.Predicate:
-        left = self.parse_and()
+    def parse_predicate(self) -> ast.Predicate:
+        pred, depth = self.parse_or(0)
+        if depth > MAX_PREDICATE_DEPTH:
+            self.error(_TOO_DEEP, pred.span)
+        return pred
+
+    def _open(self, level: int) -> Token:
+        """Consume a '(' or 'not' that would nest ``level + 1`` deep; stop
+        before recursing past the limit."""
+        if level == MAX_PREDICATE_DEPTH:
+            self.error(_TOO_DEEP)
+            raise _Resync
+        return self.advance()
+
+    def parse_or(self, level: int) -> tuple[ast.Predicate, int]:
+        left, depth = self.parse_and(level)
         while self.at_keyword("or"):
             self.advance()
-            right = self.parse_and()
+            right, right_depth = self.parse_and(level)
             left = ast.OrPred(left, right, _join(left.span, right.span))
-        return left
+            depth = max(depth, right_depth) + 1
+        return left, depth
 
-    def parse_and(self) -> ast.Predicate:
-        left = self.parse_unary()
+    def parse_and(self, level: int) -> tuple[ast.Predicate, int]:
+        left, depth = self.parse_unary(level)
         while self.at_keyword("and"):
             self.advance()
-            right = self.parse_unary()
+            right, right_depth = self.parse_unary(level)
             left = ast.AndPred(left, right, _join(left.span, right.span))
-        return left
+            depth = max(depth, right_depth) + 1
+        return left, depth
 
-    def parse_unary(self) -> ast.Predicate:
+    def parse_unary(self, level: int) -> tuple[ast.Predicate, int]:
         if self.at_keyword("not"):
-            start = self.advance().span
-            operand = self.parse_unary()
-            return ast.NotPred(operand, _join(start, operand.span))
-        return self.parse_atom()
+            start = self._open(level).span
+            operand, depth = self.parse_unary(level + 1)
+            return ast.NotPred(operand, _join(start, operand.span)), depth + 1
+        return self.parse_atom(level)
 
     def _declared(self, name_tok: Token):
         decl = self.declarations.get(name_tok.text)
@@ -332,16 +364,16 @@ class _Parser:
                 label_tok.span,
             )
 
-    def parse_atom(self) -> ast.Predicate:
+    def parse_atom(self, level: int) -> tuple[ast.Predicate, int]:
         if self.at("("):
-            self.advance()
-            inner = self.parse_predicate()
+            self._open(level)
+            inner, depth = self.parse_or(level + 1)
             self.expect(")", "')'")
-            return inner
+            return inner, depth + 1
         if self.at_keyword("true"):
-            return ast.TrueLiteral(self.advance().span)
+            return ast.TrueLiteral(self.advance().span), 0
         if self.at_keyword("false"):
-            return ast.FalseLiteral(self.advance().span)
+            return ast.FalseLiteral(self.advance().span), 0
         if self.at(IDENT):
             name_tok = self.advance()
             decl = self._declared(name_tok)
@@ -350,7 +382,7 @@ class _Parser:
                 label_tok = self.parse_label()
                 self._check_label(decl, label_tok, name_tok.text)
                 span = _join(name_tok.span, label_tok.span)
-                return ast.LabelIs(name_tok.text, label_tok.text, span)
+                return ast.LabelIs(name_tok.text, label_tok.text, span), 0
             if self.at_keyword("in"):
                 self.advance()
                 self.expect("{", "'{'")
@@ -366,7 +398,7 @@ class _Parser:
                         labels.append(label_tok.text)
                 closing = self.expect("}", "',' or '}'")
                 span = _join(name_tok.span, closing.span)
-                return ast.LabelIn(name_tok.text, tuple(labels), span)
+                return ast.LabelIn(name_tok.text, tuple(labels), span), 0
             for op in _COMPARE_OPS:
                 if self.at(op):
                     self.advance()
@@ -378,7 +410,7 @@ class _Parser:
                             name_tok.span,
                         )
                     span = _join(name_tok.span, value_tok.span)
-                    return ast.Comparison(name_tok.text, op, value, span)
+                    return ast.Comparison(name_tok.text, op, value, span), 0
             self.error(
                 f"expected '==', 'in' or a comparison after {name_tok.text!r}, "
                 f"found {self._found()}"

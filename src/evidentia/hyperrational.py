@@ -31,7 +31,9 @@ prints as an explicit quotient of integer polynomials, such as
 ``(3*aleph + 5)/(4*aleph + 1)``.  :meth:`Hyperrational.parse` reads the
 same syntax back, bit-exactly.  Because its text may come from outside
 the program, it rejects any exponent, and any polynomial it would build
-along the way, of degree above :data:`MAX_PARSE_DEGREE` (64).
+along the way, of degree above :data:`MAX_PARSE_DEGREE` (64), nesting of
+``(`` and unary ``-`` deeper than :data:`MAX_PARSE_DEPTH` (100), and any
+digit outside ASCII ``0``-``9``.
 
 Instances are immutable and safe to share between threads.
 """
@@ -60,6 +62,9 @@ class MagnitudeClass(Enum):
 #: Highest exponent, and highest degree of any intermediate polynomial,
 #: that :meth:`Hyperrational.parse` accepts.
 MAX_PARSE_DEGREE = 64
+#: Deepest nesting of ``(`` and unary ``-`` that it accepts; it recurses
+#: once per level.
+MAX_PARSE_DEPTH = 100
 
 # Polynomials are tuples of int coefficients, lowest degree first, with no
 # trailing zero coefficient; () is the zero polynomial.
@@ -475,6 +480,7 @@ class _Reader:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # '(' and unary '-' open around the current factor
 
     def parse(self) -> Hyperrational:
         value = self._expr()
@@ -520,20 +526,17 @@ class _Reader:
     def _factor(self) -> Hyperrational:
         self._skip_ws()
         ch = self._peek()
-        if ch == "-":
+        if ch == "-" or ch == "(":
+            if self.depth == MAX_PARSE_DEPTH:
+                self._fail(f"nesting is deeper than {MAX_PARSE_DEPTH} levels")
             self.pos += 1
-            return -self._factor()
-        if ch == "(":
-            self.pos += 1
-            value = self._expr()
-            self._skip_ws()
-            if self._peek() != ")":
-                self._fail("expected ')'")
-            self.pos += 1
+            self.depth += 1
+            value = -self._factor() if ch == "-" else self._parenthesised()
+            self.depth -= 1
             return value
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = self.pos
-            while self._peek().isdigit():
+            while "0" <= self._peek() <= "9":
                 self.pos += 1
             return Hyperrational(int(self.text[start : self.pos]))
         if ch.isalpha():
@@ -545,10 +548,10 @@ class _Reader:
                 self._fail(f"unknown symbol {word!r}")
             if self._peek() == "^":
                 self.pos += 1
-                if not self._peek().isdigit():
+                if not "0" <= self._peek() <= "9":
                     self._fail("expected an integer exponent")
                 dstart = self.pos
-                while self._peek().isdigit():
+                while "0" <= self._peek() <= "9":
                     self.pos += 1
                 exponent = int(self.text[dstart : self.pos])
                 self._check_degree(exponent)
@@ -556,6 +559,14 @@ class _Reader:
             return ALEPH
         self._fail("expected a number, 'aleph', '-' or '('")
         raise AssertionError  # unreachable
+
+    def _parenthesised(self) -> Hyperrational:
+        value = self._expr()
+        self._skip_ws()
+        if self._peek() != ")":
+            self._fail("expected ')'")
+        self.pos += 1
+        return value
 
 
 #: The infinite unit: the conventional cardinality of a scaled space.

@@ -10,8 +10,9 @@ deterministic.  Two flavours share one type:
   tranche of cardinality ``aleph/n``.  Only whole tranches can be talked
   about; anything finer means building a new space with a finer grid.
 
-Propositions are immutable subsets of one space's cells, combined with
-``&`` (and), ``|`` (or) and ``~`` (not).  Cells never mix across spaces: a
+Propositions are immutable subsets of one space's cells, stored as one
+``int`` bitmask with bit ``i`` for cell ``i`` and combined with ``&``
+(and), ``|`` (or) and ``~`` (not).  Cells never mix across spaces: a
 proposition means something only relative to the model that produced its
 space, so cross-space operations raise instead of silently coercing.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .hyperrational import ALEPH, Hyperrational
@@ -89,7 +91,7 @@ class PossibilitySpace:
         else:
             self._unit = Hyperrational(1)
             self._total = Hyperrational(size)
-        self._all_ids: frozenset[int] | None = None
+        self._full = (1 << size) - 1
 
     @property
     def dimensions(self) -> tuple[Dimension, ...]:
@@ -114,20 +116,15 @@ class PossibilitySpace:
         """Evidence carried by the whole space: ``n``, or ``aleph``."""
         return self._total
 
-    def _universe(self) -> frozenset[int]:
-        if self._all_ids is None:
-            self._all_ids = frozenset(range(self._size))
-        return self._all_ids
-
     @property
     def top(self) -> "Proposition":
         """The proposition true in every cell."""
-        return Proposition(self, self._universe())
+        return Proposition(self, self._full)
 
     @property
     def bottom(self) -> "Proposition":
         """The contradictory proposition: the empty subset."""
-        return Proposition(self, frozenset())
+        return Proposition(self, 0)
 
     def labels_of(self, cell: int) -> tuple[str, ...]:
         if not 0 <= cell < self._size:
@@ -145,27 +142,38 @@ class PossibilitySpace:
             yield Atom(cell, self.labels_of(cell))
 
     def proposition(self, members: Iterable[int]) -> "Proposition":
-        return Proposition(self, frozenset(members))
+        """The subset of the cells ``members``, in time linear in the size."""
+        digits = bytearray(b"0") * self._size
+        for cell in members:
+            if not 0 <= cell < self._size:
+                raise ValueError("member ids fall outside the space")
+            digits[-1 - cell] = ord("1")
+        return Proposition(self, int(digits, 2))
 
     def where(self, predicate: Callable[[Mapping[str, str]], bool]) -> "Proposition":
         """Subset of cells whose label assignment satisfies ``predicate``."""
-        members = frozenset(
+        return self.proposition(
             cell for cell in range(self._size) if predicate(self.assignment_of(cell))
         )
-        return Proposition(self, members)
 
     def axis_proposition(
         self, dimension: str, label_indices: Iterable[int]
     ) -> "Proposition":
-        """Cells whose index along ``dimension`` is one of ``label_indices``."""
+        """Cells whose index along ``dimension`` is one of ``label_indices``:
+        one period of that pattern, doubled by shifts past the space size."""
         k = self._dim_index(dimension)
-        allowed = set(label_indices)
         stride = self._strides[k]
         width = len(self._dims[k].labels)
-        members = frozenset(
-            cell for cell in range(self._size) if (cell // stride) % width in allowed
-        )
-        return Proposition(self, members)
+        mask = 0
+        for index in label_indices:
+            if not 0 <= index < width:
+                raise ValueError(f"no label index {index} in dimension {dimension!r}")
+            mask |= ((1 << stride) - 1) << (index * stride)
+        length = stride * width
+        while length < self._size:
+            mask |= mask << length
+            length *= 2
+        return Proposition(self, mask & self._full)
 
     def _dim_index(self, name: str) -> int:
         for i, dim in enumerate(self._dims):
@@ -176,20 +184,23 @@ class PossibilitySpace:
 
 @dataclass(frozen=True)
 class Proposition:
-    """A subset of one space's cells, closed under ``&``, ``|`` and ``~``."""
+    """A subset of one space's cells: bit ``i`` of ``mask`` holds cell ``i``."""
 
     space: PossibilitySpace
-    members: frozenset[int]
+    mask: int
 
     def __post_init__(self):
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
-        if members and (min(members) < 0 or max(members) >= self.space.size):
+        if self.mask < 0 or self.mask.bit_length() > self.space.size:
             raise ValueError("member ids fall outside the space")
 
     @property
+    def members(self) -> frozenset[int]:
+        """The cell ids, derived from ``mask``."""
+        return frozenset(i for i, bit in enumerate(bin(self.mask)[:1:-1]) if bit == "1")
+
+    @property
     def count(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def _same_space(self, other: "Proposition"):
         if other.space is not self.space:
@@ -199,16 +210,16 @@ class Proposition:
         if not isinstance(other, Proposition):
             return NotImplemented
         self._same_space(other)
-        return Proposition(self.space, self.members & other.members)
+        return Proposition(self.space, self.mask & other.mask)
 
     def __or__(self, other):
         if not isinstance(other, Proposition):
             return NotImplemented
         self._same_space(other)
-        return Proposition(self.space, self.members | other.members)
+        return Proposition(self.space, self.mask | other.mask)
 
     def __invert__(self):
-        return Proposition(self.space, self.space._universe() - self.members)
+        return Proposition(self.space, self.space._full ^ self.mask)
 
     def __repr__(self):
         shown = sorted(self.members)
@@ -230,11 +241,11 @@ class StateSpacePartition:
     blocks: tuple[tuple[str, Proposition], ...]
 
 
-def _describe_cells(space: PossibilitySpace, cells: Iterable[int], limit: int = 3) -> str:
-    cells = sorted(cells)
-    shown = ["/".join(space.labels_of(c)) for c in cells[:limit]]
-    if len(cells) > limit:
-        shown.append(f"... ({len(cells)} total)")
+def _describe_cells(space: PossibilitySpace, mask: int, limit: int = 3) -> str:
+    cells = (cell for cell, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+    shown = ["/".join(space.labels_of(c)) for c in islice(cells, limit)]
+    if mask.bit_count() > limit:
+        shown.append(f"... ({mask.bit_count()} total)")
     return ", ".join(shown)
 
 
@@ -248,7 +259,7 @@ def make_partition(
     """
     if not blocks:
         raise ValueError("a partition needs at least one block")
-    owner: dict[int, str] = {}
+    covered = 0
     names = set()
     for name, prop in blocks:
         if prop.space is not space:
@@ -256,20 +267,19 @@ def make_partition(
         if name in names:
             raise ValueError(f"duplicate block name {name!r}")
         names.add(name)
-        clashes = [cell for cell in prop.members if cell in owner]
+        clashes = covered & prop.mask
         if clashes:
-            other = owner[clashes[0]]
+            lowest = clashes & -clashes
+            other = next(earlier for earlier, block in blocks if block.mask & lowest)
             raise ValueError(
                 f"blocks {other!r} and {name!r} overlap on: "
                 f"{_describe_cells(space, clashes)}"
             )
-        for cell in prop.members:
-            owner[cell] = name
-    if len(owner) != space.size:
-        missing = space._universe() - owner.keys()
+        covered |= prop.mask
+    if covered != space._full:
         raise ValueError(
             f"partition does not cover the space; uncovered: "
-            f"{_describe_cells(space, missing)}"
+            f"{_describe_cells(space, space._full ^ covered)}"
         )
     return StateSpacePartition(space, tuple((name, prop) for name, prop in blocks))
 

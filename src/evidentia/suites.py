@@ -76,8 +76,9 @@ def _random_single_dim_space(rng: random.Random, max_cells: int = 60) -> Possibi
     return build_finite_space([("u", labels)])
 
 
-def _random_members(rng: random.Random, size: int) -> frozenset[int]:
-    return frozenset(i for i in range(size) if rng.getrandbits(1))
+def _random_members(rng: random.Random, size: int) -> int:
+    # One draw per cell, in cell order: recorded seeds depend on this stream.
+    return sum(rng.getrandbits(1) << i for i in range(size))
 
 
 def random_hyperrational(
@@ -128,8 +129,8 @@ def additivity_suite(rng: random.Random, families: int = 1000) -> SuiteResult:
         parts: list[set[int]] = [set() for _ in range(rng.randint(1, 5))]
         for cell in chosen:
             parts[rng.randrange(len(parts))].add(cell)
-        props = [Proposition(space, frozenset(p)) for p in parts]
-        union = Proposition(space, frozenset(chosen))
+        props = [space.proposition(p) for p in parts]
+        union = space.proposition(chosen)
         total = Hyperrational(0)
         for prop in props:
             total = total + evidence(prop)
@@ -151,14 +152,8 @@ def product_rule_exhaustive_suite(max_atoms: int = 12) -> SuiteResult:
         space = build_finite_space([("u", tuple(f"u{i}" for i in range(n)))])
         masks = 1 << n
         cases += masks * masks
-
-        def prop(mask: int) -> Proposition:
-            return Proposition(
-                space, frozenset(i for i in range(n) if mask >> i & 1)
-            )
-
+        subsets = [Proposition(space, m) for m in range(masks)]
         if n <= 6:
-            subsets = [prop(m) for m in range(masks)]
             for a in range(masks):
                 for b in range(masks):
                     report = check_product_rule(subsets[a], subsets[b])
@@ -173,7 +168,7 @@ def product_rule_exhaustive_suite(max_atoms: int = 12) -> SuiteResult:
                     sig = bits[a & b] * width + bits[b]
                     if not seen[sig]:
                         seen[sig] = 1
-                        report = check_product_rule(prop(a), prop(b))
+                        report = check_product_rule(subsets[a], subsets[b])
                         if not report.passed:
                             failures.append(
                                 f"n={n} A={a:#x} B={b:#x}: {report.detail}"
@@ -235,7 +230,7 @@ def monotonicity_suite(rng: random.Random, cases: int = 1000) -> SuiteResult:
         meet = a & b
         lhs = evidence(meet)
         rhs = evidence(a)
-        ok = lhs <= rhs and (lhs == rhs) == (meet.members == a.members)
+        ok = lhs <= rhs and (lhs == rhs) == (meet == a)
         if not ok:
             failures.append(f"case {case}: E(A and B) = {lhs}, E(A) = {rhs}")
     return SuiteResult("monotonicity of conjunction", cases, failures)

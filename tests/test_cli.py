@@ -100,6 +100,64 @@ def test_negative_count_flag_is_a_usage_error(capsys, fixture_path, command, fla
     assert f"argument {flag}: invalid non_negative_int value: '-1'" in capsys.readouterr().err
 
 
+def test_digits_above_the_bound_is_a_usage_error(capsys, tmp_path):
+    model = tmp_path / "m.evd"
+    model.write_text('model "x" { dimension r = {A, B, C} }\nquery L(r == A)')
+    code, out, err = run(capsys, "eval", str(model), "--digits", "1001")
+    assert code == 2 and out == ""
+    assert "--digits must be at most 1000" in err
+    code, out, _ = run(capsys, "eval", str(model), "--digits", "1000")
+    assert code == 0
+    assert out.startswith("L(r == A) = -0.693147180559945309417232121458176568075500134")
+    assert len(out.split(" = ")[1].split(" ")[0]) == len("-0.") + 1000
+
+
+DEEP_FORMS = {
+    "parentheses": lambda n: "(" * n + "r == A" + ")" * n,
+    "not": lambda n: "not " * n + "r == A",
+    "and": lambda n: " and ".join(["r == A"] * (n + 1)),
+    "or": lambda n: " or ".join(["r == A"] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(DEEP_FORMS))
+def test_predicate_nesting_is_bounded(capsys, tmp_path, form):
+    model = tmp_path / "deep.evd"
+    for depth, expected in ((100, 0), (101, 1), (5000, 1)):
+        predicate = DEEP_FORMS[form](depth)
+        model.write_text(
+            f'model "x" {{ dimension r = {{A, B}} }}\nquery P({predicate})', encoding="utf-8"
+        )
+        code, out, err = run(capsys, "eval", str(model))
+        assert code == expected, (depth, err)
+        if expected:
+            assert "error: predicate nests deeper than 100 levels" in err
+        else:
+            assert " = 1/2 ≈ 0.500000  [Theorem 4]" in out
+
+
+def test_number_literals_are_bounded_ascii_decimals(capsys, tmp_path):
+    model = tmp_path / "n.evd"
+
+    def evaluate(declaration, query="P(x < 5)"):
+        model.write_text(f'model "x" {{ {declaration} }}\nquery {query}', encoding="utf-8")
+        return run(capsys, "eval", str(model))
+
+    top = "1" + "0" * 999  # 1000 digits
+    code, out, _ = evaluate(f"continuum x from 0 to {top} tranches 2", f"P(x < 5{top[1:-1]})")
+    assert code == 0 and out.startswith("P(x < 5000") and " = 1/2 " in out
+    for declaration, message in (
+        (f"continuum x from 0 to {top}0 tranches 2", "number has more than 1000 digits"),
+        ("continuum x from 0 to " + "9" * 5000 + " tranches 2", "more than 1000 digits"),
+        ("continuum x from 0 to 10 tranches " + "7" * 5000, "more than 1000 digits"),
+        ("continuum x from 0 to 1\u00b2 tranches 2", "unexpected character '\u00b2'"),
+        ("continuum x from 0 to 10 tranches \u0663", "unexpected character '\u0663'"),
+        ("continuum x from -90 to 90 tranches 2", "unexpected character '-'"),
+    ):
+        code, _, err = evaluate(declaration)
+        assert code == 1 and message in err, (declaration, err)
+
+
 def test_eval_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "eval", "no/such/file.evd")
     assert code == 2

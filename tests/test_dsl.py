@@ -60,6 +60,15 @@ def test_tokenize_numbers_and_comparators():
     assert tokens[2].text == "4.5"
 
 
+def test_numbers_are_ascii_digits_only():
+    tokens, diagnostics = tokenize("1\u00b2 \u0663 7")
+    assert [(t.kind, t.text) for t in tokens] == [(NUMBER, "1"), (NUMBER, "7")]
+    assert [d.message for d in diagnostics] == [
+        "unexpected character '\u00b2'",
+        "unexpected character '\u0663'",
+    ]
+
+
 def test_unterminated_string_is_a_diagnostic():
     _, diagnostics = tokenize('model "oops')
     assert any("unterminated string" in d.message for d in diagnostics)

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from evidentia import (
     ALEPH,
     Hyperrational,
-    Proposition,
     atomic_probability,
     build_finite_space,
     build_scaled_space,
@@ -68,7 +67,7 @@ def test_evidence_top():
 
 def test_atoms_carry_equal_evidence():
     space = deck()
-    values = {evidence(Proposition(space, frozenset({i}))) for i in range(space.size)}
+    values = {evidence(space.proposition({i})) for i in range(space.size)}
     assert values == {Hyperrational(1)}
 
 
@@ -97,8 +96,7 @@ def test_odds_reciprocity():
     space = deck()
     rng = random.Random(7)
     for _ in range(50):
-        members = frozenset(i for i in range(52) if rng.getrandbits(1))
-        prop = Proposition(space, members)
+        prop = space.proposition(i for i in range(52) if rng.getrandbits(1))
         forward, backward = odds(prop), odds(~prop)
         if forward.is_infinite or backward.is_infinite:
             assert forward.is_zero or backward.is_zero
@@ -185,7 +183,7 @@ def test_conditioning_on_top_reduces_to_probability():
     space = deck()
     rng = random.Random(3)
     for _ in range(25):
-        prop = Proposition(space, frozenset(i for i in range(52) if rng.getrandbits(1)))
+        prop = space.proposition(i for i in range(52) if rng.getrandbits(1))
         assert conditional_probability(prop, space.top) == probability(prop)
 
 
@@ -228,7 +226,7 @@ def test_sum_rule_on_200_random_subsets():
     space = deck()
     rng = random.Random(11)
     for _ in range(200):
-        prop = Proposition(space, frozenset(i for i in range(52) if rng.getrandbits(1)))
+        prop = space.proposition(i for i in range(52) if rng.getrandbits(1))
         assert check_sum_rule(prop).passed
 
 
@@ -248,7 +246,7 @@ def test_sum_rule_report_renders_both_sides():
 def test_product_rule_exhaustive_small_space():
     space = build_finite_space([("u", ["a", "b", "c", "d"])])
     subsets = [
-        Proposition(space, frozenset(i for i in range(4) if mask >> i & 1))
+        space.proposition(i for i in range(4) if mask >> i & 1)
         for mask in range(16)
     ]
     for a in subsets:
@@ -290,7 +288,7 @@ def disjoint_family(draw):
     for cell, bucket in enumerate(assignment):
         if bucket < 4:  # bucket 4 means "left out"
             parts[bucket].add(cell)
-    return space, [Proposition(space, frozenset(p)) for p in parts]
+    return space, [space.proposition(p) for p in parts]
 
 
 @given(disjoint_family())
@@ -332,9 +330,9 @@ def test_scale_invariance_of_probabilities():
         finite = build_finite_space([("u", labels)])
         scaled = build_scaled_space(labels, name="u")
         for _ in range(30):
-            members = frozenset(i for i in range(n) if rng.getrandbits(1))
-            p_finite = probability(Proposition(finite, members))
-            p_scaled = probability(Proposition(scaled, members))
+            members = [i for i in range(n) if rng.getrandbits(1)]
+            p_finite = probability(finite.proposition(members))
+            p_scaled = probability(scaled.proposition(members))
             assert p_finite.as_fraction() == p_scaled.as_fraction()
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from evidentia import ALEPH, Hyperrational, MagnitudeClass, decimal_approximation
-from evidentia.hyperrational import MAX_PARSE_DEGREE
+from evidentia.hyperrational import MAX_PARSE_DEGREE, MAX_PARSE_DEPTH
 
 INF = MagnitudeClass.INFINITE
 APP = MagnitudeClass.APPRECIABLE
@@ -206,7 +206,8 @@ def test_render_and_reparse(value, text):
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "aleph +", "omega", "1..2", "(1", "1/", "@"):
+    non_ascii_digits = ("\u0663", "aleph^\u0663", "1\u00b2")
+    for bad in ("", "aleph +", "omega", "1..2", "(1", "1/", "@") + non_ascii_digits:
         with pytest.raises(ValueError):
             Hyperrational.parse(bad)
     limit = MAX_PARSE_DEGREE
@@ -214,6 +215,21 @@ def test_parse_rejects_garbage():
     for huge in ("aleph^99999999999999999999", f"aleph^{limit + 1}", f"aleph^{limit}*aleph"):
         with pytest.raises(ValueError, match="bad hyperrational literal at offset"):
             Hyperrational.parse(huge)
+
+
+def test_parse_bounds_nesting_depth():
+    limit = MAX_PARSE_DEPTH
+    assert Hyperrational.parse("(" * limit + "2" + ")" * limit) == Hyperrational(2)
+    half = limit // 2
+    assert Hyperrational.parse("(-" * half + "2" + ")" * half) == Hyperrational(2)
+    for deep in (
+        "(" * (limit + 1) + "2" + ")" * (limit + 1),
+        "-" * (limit + 1) + "2",
+        "(" * 5000 + "2" + ")" * 5000,
+        "-" * 5000 + "2",
+    ):
+        with pytest.raises(ValueError, match="nesting is deeper than 100 levels"):
+            Hyperrational.parse(deep)
 
 
 def test_repr_round_trips():

@@ -137,6 +137,8 @@ def test_axis_proposition():
     assert hearts == space.where(lambda a: a["suit"] == "hearts")
     with pytest.raises(ValueError):
         space.axis_proposition("nope", {0})
+    with pytest.raises(ValueError, match="no label index 4"):
+        space.axis_proposition("suit", {0, 4})
 
 
 def test_cross_space_operations_are_errors():
@@ -152,8 +154,14 @@ def test_cross_space_operations_are_errors():
 
 def test_member_ids_validated():
     space = build_finite_space([("x", ["a", "b"])])
-    with pytest.raises(ValueError):
-        Proposition(space, frozenset({5}))
+    for ids in ({5}, {2}, {-1}, {0, -1}):
+        with pytest.raises(ValueError, match="outside the space"):
+            space.proposition(ids)
+    for mask in (1 << 2, -1):
+        with pytest.raises(ValueError, match="outside the space"):
+            Proposition(space, mask)
+    assert space.proposition({0, 1}) == Proposition(space, 0b11) == space.top
+    assert space.proposition({1}).members == frozenset({1})
 
 
 # -- partitions ----------------------------------------------------------------------
@@ -189,6 +197,16 @@ def test_overlapping_blocks_error_names_them():
         make_partition(space, [("first", aces), ("second", aces)])
 
 
+def test_overlap_spanning_two_earlier_blocks_names_the_lowest_cells_owner():
+    space = build_finite_space([("x", ["a", "b", "c", "d"])])
+    first = space.proposition({2})
+    second = space.proposition({1})
+    third = space.proposition({1, 2, 3})
+    with pytest.raises(ValueError) as err:
+        make_partition(space, [("first", first), ("second", second), ("third", third)])
+    assert str(err.value) == "blocks 'second' and 'third' overlap on: b, c"
+
+
 def test_non_exhaustive_partition_error_names_missing_cells():
     space = build_finite_space([("x", ["a", "b", "c"])])
     only_a = space.where(lambda atom: atom["x"] == "a")
@@ -222,7 +240,7 @@ def space_and_subsets(draw, max_cells=12, subsets=2):
     props = []
     for _ in range(subsets):
         members = draw(st.frozensets(st.integers(min_value=0, max_value=n - 1)))
-        props.append(Proposition(space, members))
+        props.append(space.proposition(members))
     return (space, *props)
 
 
