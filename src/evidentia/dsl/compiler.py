@@ -21,7 +21,6 @@ time; evaluation itself is deferred behind :class:`PreparedQuery`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from ..evidence import (
@@ -84,47 +83,33 @@ class CompiledModel:
     queries: tuple[PreparedQuery, ...]
 
 
-def _number_label(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _dimension(decl: ast.DimensionDecl | ast.ContinuumDecl) -> Dimension:
     if isinstance(decl, ast.DimensionDecl):
         return Dimension(decl.name, decl.labels)
     count = decl.tranches or 1
     width = (decl.high - decl.low) / count
-    bounds = []
-    labels = []
-    for i in range(count):
-        lo = decl.low + width * i
-        hi = decl.low + width * (i + 1)
-        bounds.append((lo, hi))
-        labels.append(f"[{_number_label(lo)},{_number_label(hi)})")
-    return Dimension(decl.name, tuple(labels), tuple(bounds))
+    edges = [str(decl.low + width * i) for i in range(count + 1)]
+    labels = tuple(f"[{lo},{hi})" for lo, hi in zip(edges, edges[1:]))
+    return Dimension(decl.name, labels, (decl.low, width))
 
 
-def _comparison_indices(dim: Dimension, node: ast.Comparison) -> set[int]:
-    # Whole tranches only: [lo, hi) lies inside "x < t" / "x <= t" exactly
-    # when hi <= t, and inside "x > t" / "x >= t" exactly when lo >= t (a
-    # boundary point is one atom, below tranche resolution).  A tranche left
-    # out has t below hi (resp. above lo), so it is split when t is above lo
-    # (resp. below hi).
-    assert dim.bounds is not None
-    below = node.op in ("<", "<=")
-    t = node.value
-    out = set()
-    for i, (lo, hi) in enumerate(dim.bounds):
-        if (hi <= t) if below else (lo >= t):
-            out.add(i)
-        elif (lo < t) if below else (hi > t):
-            raise _LoweringError(
-                f"threshold {t} splits tranche {dim.labels[i]} of "
-                f"{dim.name!r}; rebuild with a finer tranche count",
-                node.span,
-            )
-    return out
+def _comparison_indices(dim: Dimension, node: ast.Comparison) -> range:
+    # Whole tranches only.  The threshold sits k tranche widths above low,
+    # clamped to the grid: tranches below k lie inside "x < t" / "x <= t"
+    # and those from k on inside "x > t" / "x >= t" (a boundary point is one
+    # atom, below tranche resolution).  A k that is not whole falls inside
+    # tranche int(k), which neither side can hold.
+    low, width = dim.grid
+    n = len(dim.labels)
+    k = min(max((node.value - low) / width, 0), n)
+    i = int(k)
+    if k != i:
+        raise _LoweringError(
+            f"threshold {node.value} splits tranche {dim.labels[i]} of "
+            f"{dim.name!r}; rebuild with a finer tranche count",
+            node.span,
+        )
+    return range(i) if node.op in ("<", "<=") else range(i, n)
 
 
 def lower_predicate(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
@@ -164,7 +149,7 @@ def _lower(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
         return space.axis_proposition(pred.dimension, indices)
     if isinstance(pred, ast.Comparison):
         dim = _find_dimension(space, pred.dimension, pred.span)
-        if dim.bounds is None:
+        if dim.grid is None:
             raise _LoweringError(
                 f"{pred.dimension!r} has no numeric order to compare against",
                 pred.span,

@@ -32,8 +32,9 @@ prints as an explicit quotient of integer polynomials, such as
 same syntax back, bit-exactly.  Because its text may come from outside
 the program, it rejects any exponent, and any polynomial it would build
 along the way, of degree above :data:`MAX_PARSE_DEGREE` (64), nesting of
-``(`` and unary ``-`` deeper than :data:`MAX_PARSE_DEPTH` (100), and any
-digit outside ASCII ``0``-``9``.
+``(`` and unary ``-`` deeper than :data:`MAX_PARSE_DEPTH` (100), any run
+of more than :data:`MAX_PARSE_DIGITS` (1000) digits, and any digit outside
+ASCII ``0``-``9``.
 
 Instances are immutable and safe to share between threads.
 """
@@ -65,6 +66,8 @@ MAX_PARSE_DEGREE = 64
 #: Deepest nesting of ``(`` and unary ``-`` that it accepts; it recurses
 #: once per level.
 MAX_PARSE_DEPTH = 100
+#: Longest run of digits, in an integer or an exponent, that it converts.
+MAX_PARSE_DIGITS = 1000
 
 # Polynomials are tuples of int coefficients, lowest degree first, with no
 # trailing zero coefficient; () is the zero polynomial.
@@ -535,10 +538,7 @@ class _Reader:
             self.depth -= 1
             return value
         if "0" <= ch <= "9":
-            start = self.pos
-            while "0" <= self._peek() <= "9":
-                self.pos += 1
-            return Hyperrational(int(self.text[start : self.pos]))
+            return Hyperrational(self._digits())
         if ch.isalpha():
             start = self.pos
             while self._peek().isalpha():
@@ -550,15 +550,22 @@ class _Reader:
                 self.pos += 1
                 if not "0" <= self._peek() <= "9":
                     self._fail("expected an integer exponent")
-                dstart = self.pos
-                while "0" <= self._peek() <= "9":
-                    self.pos += 1
-                exponent = int(self.text[dstart : self.pos])
+                exponent = self._digits()
                 self._check_degree(exponent)
                 return ALEPH**exponent
             return ALEPH
         self._fail("expected a number, 'aleph', '-' or '('")
         raise AssertionError  # unreachable
+
+    def _digits(self) -> int:
+        # A run of ASCII digits, its length checked before conversion.
+        start = self.pos
+        while "0" <= self._peek() <= "9":
+            self.pos += 1
+        if self.pos - start > MAX_PARSE_DIGITS:
+            self.pos = start
+            self._fail(f"number has more than {MAX_PARSE_DIGITS} digits")
+        return int(self.text[start : self.pos])
 
     def _parenthesised(self) -> Hyperrational:
         value = self._expr()

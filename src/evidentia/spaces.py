@@ -34,14 +34,15 @@ from .hyperrational import ALEPH, Hyperrational
 class Dimension:
     """One axis of a possibility space.
 
-    ``bounds``, when present, gives the half-open numeric interval each
-    label stands for; continuum declarations discretised into tranches
-    carry them so numeric comparisons can resolve to whole cells.
+    ``grid``, when present, is ``(low, width)``: label ``i`` stands for the
+    half-open interval ``[low + i*width, low + (i+1)*width)``.  Continuum
+    declarations discretised into equal tranches carry it so numeric
+    comparisons can resolve to whole cells.
     """
 
     name: str
     labels: tuple[str, ...]
-    bounds: tuple[tuple[Fraction, Fraction], ...] | None = None
+    grid: tuple[Fraction, Fraction] | None = None
 
 
 class Atom(NamedTuple):
@@ -71,8 +72,6 @@ class PossibilitySpace:
                 raise ValueError(
                     f"dimension {dim.name!r} repeats label(s): {', '.join(dupes)}"
                 )
-            if dim.bounds is not None and len(dim.bounds) != len(dim.labels):
-                raise ValueError(f"dimension {dim.name!r}: bounds do not match labels")
         self._dims = dims
         self._scaled = bool(scaled)
         size = 1
@@ -182,6 +181,11 @@ class PossibilitySpace:
         raise ValueError(f"no dimension named {name!r}")
 
 
+def _cells(mask: int) -> Iterator[int]:
+    """The cell ids whose bits are set in ``mask``, in ascending order."""
+    return (cell for cell, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+
 @dataclass(frozen=True)
 class Proposition:
     """A subset of one space's cells: bit ``i`` of ``mask`` holds cell ``i``."""
@@ -196,7 +200,7 @@ class Proposition:
     @property
     def members(self) -> frozenset[int]:
         """The cell ids, derived from ``mask``."""
-        return frozenset(i for i, bit in enumerate(bin(self.mask)[:1:-1]) if bit == "1")
+        return frozenset(_cells(self.mask))
 
     @property
     def count(self) -> int:
@@ -222,11 +226,9 @@ class Proposition:
         return Proposition(self.space, self.space._full ^ self.mask)
 
     def __repr__(self):
-        shown = sorted(self.members)
-        if len(shown) > 8:
-            body = ", ".join(map(str, shown[:8])) + f", ... ({len(shown)} cells)"
-        else:
-            body = ", ".join(map(str, shown))
+        body = ", ".join(map(str, islice(_cells(self.mask), 8)))
+        if self.count > 8:
+            body += f", ... ({self.count} cells)"
         return f"Proposition({{{body}}})"
 
 
@@ -242,8 +244,7 @@ class StateSpacePartition:
 
 
 def _describe_cells(space: PossibilitySpace, mask: int, limit: int = 3) -> str:
-    cells = (cell for cell, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
-    shown = ["/".join(space.labels_of(c)) for c in islice(cells, limit)]
+    shown = ["/".join(space.labels_of(c)) for c in islice(_cells(mask), limit)]
     if mask.bit_count() > limit:
         shown.append(f"... ({mask.bit_count()} total)")
     return ", ".join(shown)

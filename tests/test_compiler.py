@@ -1,12 +1,18 @@
 """Tests for lowering models to spaces and executable queries."""
 
+import dataclasses
+import random
+import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from evidentia import ALEPH, Hyperrational, fixtures
+from evidentia import ALEPH, Hyperrational, fixtures, oracle
 from evidentia.dsl import ModelError, compile_model, lower_predicate, parse_model
 from evidentia.dsl import ast
+from evidentia.evidence import probability
+from evidentia.suites import _oracle_dimensions, oracle_predicate
 
 
 def compiled(source, scaled=False, **kwargs):
@@ -81,7 +87,7 @@ def test_tranche_labels_carry_bounds():
     model = compiled('model "q" { continuum t from 0 to 90 tranches 90 }')
     dim = model.space.dimensions[0]
     assert dim.labels[44] == "[44,45)"
-    assert dim.bounds[44] == (44, 45)
+    assert dim.grid == (0, 1)
 
 
 def test_fractional_tranche_labels():
@@ -140,6 +146,48 @@ def test_aleph_tranches_cannot_be_cut():
     source = 'model "q" { continuum t from 0 to 90 tranches aleph }\nquery P(t < 45)'
     with pytest.raises(ModelError, match="splits tranche"):
         compiled(source, scaled=True)
+
+
+def test_continuum_comparisons_match_the_oracle():
+    # Random grids and thresholds, each comparison lowered by the engine and
+    # enumerated by the oracle.  An aleph-tranche continuum is one cell, so
+    # the oracle enumerates it as one tranche.
+    rng = random.Random(4)
+    answered = split = 0
+    for _ in range(400):
+        low = Fraction(rng.randint(0, 20), rng.choice([1, 2, 3]))
+        high = low + Fraction(rng.randint(1, 20), rng.choice([1, 2, 3, 7]))
+        tranches = rng.choice([None, 1, 2, 3, 5, 8, 13])
+        scaled = tranches is None or rng.random() < 0.5
+        continuum = ast.ContinuumDecl("x", low, high, tranches)
+        other = ast.DimensionDecl("d", ("a", "b", "c"))
+        decls = (other, continuum) if rng.random() < 0.5 else (continuum, other)
+        space = compile_model(ast.Model("m", decls, (), ()), scaled=scaled).space
+        one = dataclasses.replace(continuum, tranches=tranches or 1)
+        dims, bounds = _oracle_dimensions(
+            ast.Model("m", tuple(one if d is continuum else d for d in decls), (), ())
+        )
+        width = (high - low) / (tranches or 1)
+        on_grid = low + width * rng.randint(0, tranches or 1)
+        off_grid = on_grid + width * Fraction(rng.randint(1, 9), 10)
+        anywhere = Fraction(rng.randint(0, 300), 7)
+        for t in (low - 1, low, high, high + 1, on_grid, off_grid, anywhere):
+            for op in ("<", "<=", ">", ">="):
+                pred = ast.Comparison("x", op, t)
+                try:
+                    expected = oracle.probability(dims, oracle_predicate(pred, bounds))
+                except ValueError as exc:
+                    assert str(exc) == "threshold splits a tranche"
+                    lo, hi = next(b for b in bounds["x"].values() if b[0] < t < b[1])
+                    label = re.escape(f"splits tranche [{lo},{hi}) of 'x'")
+                    with pytest.raises(ModelError, match=label):
+                        lower_predicate(space, pred)
+                    split += 1
+                else:
+                    engine = probability(lower_predicate(space, pred))
+                    assert engine == Hyperrational(expected)
+                    answered += 1
+    assert answered > 5000 and split > 1000
 
 
 # -- compile validation -----------------------------------------------------------

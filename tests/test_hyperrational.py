@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from evidentia import ALEPH, Hyperrational, MagnitudeClass, decimal_approximation
-from evidentia.hyperrational import MAX_PARSE_DEGREE, MAX_PARSE_DEPTH
+from evidentia.hyperrational import MAX_PARSE_DEGREE, MAX_PARSE_DEPTH, MAX_PARSE_DIGITS
 
 INF = MagnitudeClass.INFINITE
 APP = MagnitudeClass.APPRECIABLE
@@ -230,6 +230,17 @@ def test_parse_bounds_nesting_depth():
     ):
         with pytest.raises(ValueError, match="nesting is deeper than 100 levels"):
             Hyperrational.parse(deep)
+
+
+def test_parse_bounds_digit_runs():
+    limit = MAX_PARSE_DIGITS
+    assert Hyperrational.parse("9" * limit) == Hyperrational(10**limit - 1)
+    assert Hyperrational.parse("aleph^" + "0" * (limit - 1) + "1") == ALEPH
+    message = rf"bad hyperrational literal at offset \d+: number has more than {limit} "
+    for length in (limit + 1, 5000):
+        for long in ("9" * length, "aleph^" + "0" * (length - 1) + "1"):
+            with pytest.raises(ValueError, match=message):
+                Hyperrational.parse(long)
 
 
 def test_repr_round_trips():
