@@ -17,7 +17,8 @@ Representations are canonical:
 * the denominator's leading coefficient is positive.
 
 Canonical form makes structural identity coincide with equality of values,
-so ``==``, ``hash`` and the total order are exact and cheap.  The sign of a
+so ``==``, ``hash`` and the total order are exact and cheap; a value free
+of ``aleph`` hashes as the equal ``int`` or ``Fraction`` does.  The sign of a
 value is the sign of its numerator's leading coefficient, which agrees with
 substituting any sufficiently large integer for ``aleph``;
 :meth:`Hyperrational.substitute` exists precisely so tests can exploit that
@@ -80,6 +81,11 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
+def _terms(p):
+    # Number of nonzero coefficients; 1 means a single power of aleph.
+    return len(p) - p.count(0)
+
+
 def _neg(p):
     return tuple(-c for c in p)
 
@@ -96,6 +102,13 @@ def _add(p, q):
 def _mul(p, q):
     if not p or not q:
         return ()
+    if len(p) == 1 or len(q) == 1:
+        # A scalar times a polynomial: neither input has a trailing zero,
+        # so neither has the product and nothing needs trimming.
+        if len(q) == 1:
+            p, q = q, p
+        c = p[0]
+        return tuple([c * x for x in q])
     out = [0] * (len(p) + len(q) - 1)
     for i, cp in enumerate(p):
         if cp:
@@ -169,7 +182,19 @@ def _canonical(num, den):
         raise ZeroDivisionError("division by zero")
     if not num:
         return (), (1,)
-    if len(num) > 1 and len(den) > 1:
+    # Cancel the power of aleph both sides share by slicing; both tuples
+    # end in a nonzero coefficient, so the loop stays inside them.
+    k = 0
+    while not num[k] and not den[k]:
+        k += 1
+    if k:
+        num = num[k:]
+        den = den[k:]
+    # Now num or den has a nonzero constant term.  A monomial c*aleph^j
+    # on either side then shares no polynomial factor with the other: its
+    # only non-constant factors are powers of aleph, and for j > 0 the
+    # other side's constant term is nonzero.  So only two sums need a gcd.
+    if _terms(num) > 1 and _terms(den) > 1:
         g = _poly_gcd(num, den)
         if len(g) > 1:
             num = _div_exact(num, g)
@@ -213,6 +238,16 @@ class Hyperrational:
     __slots__ = ("_num", "_den")
 
     def __init__(self, numerator: int | Fraction = 0, denominator: int | Fraction = 1):
+        if type(numerator) is int and type(denominator) is int:
+            # Lowest terms from one gcd, the sign moved to the numerator.
+            if not denominator:
+                raise ZeroDivisionError("zero denominator")
+            g = gcd(numerator, denominator)
+            if denominator < 0:
+                g = -g
+            self._num = (numerator // g,) if numerator else ()
+            self._den = (denominator // g,)
+            return
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("floats are not exact; use integers or Fraction")
         if denominator == 0:
@@ -392,6 +427,9 @@ class Hyperrational:
         return self._num == o._num and self._den == o._den
 
     def __hash__(self):
+        # Equal to the hash of the equal int or Fraction, as == promises.
+        if self.is_rational:
+            return hash(self.as_fraction())
         return hash((self._num, self._den))
 
     def __lt__(self, other):
@@ -424,11 +462,11 @@ class Hyperrational:
         num, den = self._num, self._den
         if not num:
             return "0"
-        if sum(1 for c in den if c) == 1:
+        if _terms(den) == 1:
             # Denominator is a single aleph power: print the Laurent sum.
             return _poly_text(num, len(den) - 1, den[-1])
         num_text = _poly_text(num)
-        if sum(1 for c in num if c) > 1:
+        if _terms(num) > 1:
             num_text = f"({num_text})"
         return f"{num_text}/({_poly_text(den)})"
 

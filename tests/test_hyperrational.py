@@ -2,12 +2,18 @@
 magnitudes, rendering, and agreement with plain-rational substitution."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from evidentia import ALEPH, Hyperrational, MagnitudeClass, decimal_approximation
-from evidentia.hyperrational import MAX_PARSE_DEGREE, MAX_PARSE_DEPTH, MAX_PARSE_DIGITS
+from evidentia.hyperrational import (
+    MAX_PARSE_DEGREE,
+    MAX_PARSE_DEPTH,
+    MAX_PARSE_DIGITS,
+    _poly_gcd,
+)
 
 INF = MagnitudeClass.INFINITE
 APP = MagnitudeClass.APPRECIABLE
@@ -18,11 +24,40 @@ ZERO = MagnitudeClass.ZERO
 # -- construction -------------------------------------------------------------
 
 
-def test_from_rational_reduces():
-    assert Hyperrational(1, 2) == Hyperrational(2, 4)
-    assert str(Hyperrational(1, 2)) == "1/2"
-    # gcd(4, 52) = 4, so 4/52 reduces to 1/13; Fraction is the oracle
-    assert Hyperrational(4, 52).as_fraction() == Fraction(4, 52) == Fraction(1, 13)
+def assert_same_as_fraction(value, p, q, text):
+    # Fraction is the oracle for every int, bool and Fraction argument pair.
+    expected = Hyperrational(Fraction(p, q))
+    assert value.numerator_coefficients == expected.numerator_coefficients
+    assert value.denominator_coefficients == expected.denominator_coefficients
+    assert str(value) == str(expected) == text
+    assert value.as_fraction() == Fraction(p, q)
+
+
+@pytest.mark.parametrize(
+    "p, q, text",
+    [
+        pytest.param(1, 2, "1/2", id="int-int"),
+        pytest.param(2, 4, "1/2", id="int-int-reduces"),
+        pytest.param(4, 52, "1/13", id="int-int-gcd-4"),
+        pytest.param(-6, 4, "-3/2", id="negative-numerator"),
+        pytest.param(0, 7, "0", id="zero"),
+        pytest.param(7, 1, "7", id="whole"),
+        pytest.param(10**40, 6 * 10**40, "1/6", id="large-ints"),
+        pytest.param(3**80, 2 * 3**78, "9/2", id="large-gcd"),
+        pytest.param(2**100 + 1, 1, str(2**100 + 1), id="large-whole"),
+        pytest.param(True, 2, "1/2", id="bool-int"),
+        pytest.param(False, 3, "0", id="false-int"),
+        pytest.param(5, True, "5", id="int-bool"),
+        pytest.param(True, True, "1", id="bool-bool"),
+        pytest.param(Fraction(1, 3), 2, "1/6", id="fraction-int"),
+        pytest.param(3, Fraction(9, 4), "4/3", id="int-fraction"),
+        pytest.param(Fraction(10**30, 7), Fraction(10**30, 14), "2", id="large-fractions"),
+    ],
+)
+def test_from_rational_reduces(p, q, text):
+    value = Hyperrational(p, q)
+    assert_same_as_fraction(value, p, q, text)
+    assert value == Hyperrational(2 * p, 2 * q)
 
 
 def test_zero_numerator():
@@ -42,9 +77,26 @@ def test_floats_rejected():
         ALEPH.substitute(1e6)
 
 
-def test_negative_denominator_normalises():
-    assert Hyperrational(1, -2) == Hyperrational(-1, 2)
-    assert str(Hyperrational(1, -2)) == "-1/2"
+@pytest.mark.parametrize(
+    "p, q, text",
+    [
+        pytest.param(1, -2, "-1/2", id="int-int"),
+        pytest.param(-1, -2, "1/2", id="both-negative"),
+        pytest.param(6, -4, "-3/2", id="int-int-reduces"),
+        pytest.param(0, -5, "0", id="zero"),
+        pytest.param(10**40, -(4 * 10**40), "-1/4", id="large-ints"),
+        pytest.param(-(2**100), -(2**99), "2", id="large-both-negative"),
+        pytest.param(True, -2, "-1/2", id="bool-int"),
+        pytest.param(False, -3, "0", id="false-int"),
+        pytest.param(Fraction(1, 2), -3, "-1/6", id="fraction-int"),
+        pytest.param(-3, Fraction(-9, 4), "4/3", id="int-fraction"),
+    ],
+)
+def test_negative_denominator_normalises(p, q, text):
+    value = Hyperrational(p, q)
+    assert_same_as_fraction(value, p, q, text)
+    assert value == Hyperrational(-p, -q)
+    assert value.denominator_coefficients[-1] > 0
 
 
 # -- the infinite unit ---------------------------------------------------------
@@ -269,24 +321,35 @@ def test_decimal_approximation_of_infinitesimal_is_zero():
 
 
 def hyperrationals(max_degree=2, max_coeff=9):
+    """General quotients of polynomials, half the time; otherwise the
+    shapes the engine computes: plain rationals, ``k*aleph^j/n`` and
+    Laurent sums over one power of ``aleph``."""
     coeff = st.integers(min_value=-max_coeff, max_value=max_coeff)
+    positive = st.integers(min_value=1, max_value=max_coeff)
     polys = st.lists(coeff, min_size=1, max_size=max_degree + 1)
+    powers = st.integers(min_value=-max_degree, max_value=max_degree)
+
+    def poly(coeffs):
+        return sum(
+            (Hyperrational(c) * ALEPH**i for i, c in enumerate(coeffs)),
+            Hyperrational(0),
+        )
 
     def build(pair):
         num_coeffs, den_coeffs = pair
         if not any(den_coeffs):
             den_coeffs = den_coeffs[:-1] + [1]
-        num = sum(
-            (Hyperrational(c) * ALEPH**i for i, c in enumerate(num_coeffs)),
-            Hyperrational(0),
-        )
-        den = sum(
-            (Hyperrational(c) * ALEPH**i for i, c in enumerate(den_coeffs)),
-            Hyperrational(0),
-        )
-        return num / den
+        return poly(num_coeffs) / poly(den_coeffs)
 
-    return st.tuples(polys, polys).map(build)
+    def laurent(args):
+        coeffs, n, j = args
+        return poly(coeffs) / (n * ALEPH**j)
+
+    quotients = st.tuples(polys, polys).map(build)
+    rationals = st.builds(Hyperrational, coeff, positive)
+    monomials = st.builds(lambda k, j, n: k * ALEPH**j / n, coeff, powers, positive)
+    laurents = st.tuples(polys, positive, powers).map(laurent)
+    return st.one_of(quotients, st.one_of(rationals, monomials, laurents))
 
 
 def substitution_point(*values: Hyperrational) -> int:
@@ -360,6 +423,25 @@ def test_text_round_trip(a):
 
 
 @given(hyperrationals(), hyperrationals())
+def test_results_are_canonical(a, b):
+    results = [a + b, a - b, a * b] + ([a / b] if b else [])
+    for value in results:
+        num = value.numerator_coefficients
+        den = value.denominator_coefficients
+        assert gcd(*num, *den) == 1
+        assert den[-1] > 0
+        if len(num) > 1 and len(den) > 1:
+            assert _poly_gcd(num, den) == (1,)
+
+
+operands = st.one_of(
+    hyperrationals(),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+
+
+@given(operands, operands)
 def test_hash_consistent_with_equality(a, b):
     if a == b:
         assert hash(a) == hash(b)
