@@ -138,15 +138,14 @@ def _lower(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
     if isinstance(pred, (ast.LabelIs, ast.LabelIn)):
         dim = _find_dimension(space, pred.dimension, pred.span)
         names = (pred.label,) if isinstance(pred, ast.LabelIs) else pred.labels
-        wanted = set(names)
-        indices = {i for i, label in enumerate(dim.labels) if label in wanted}
-        if len(indices) < len(wanted):
-            missing = next(name for name in names if name not in dim.labels)
-            raise _LoweringError(
-                f"unknown label {missing!r} for dimension {pred.dimension!r}",
-                pred.span,
-            )
-        return space.axis_proposition(pred.dimension, indices)
+        index = dim.index
+        for name in names:
+            if name not in index:
+                raise _LoweringError(
+                    f"unknown label {name!r} for dimension {pred.dimension!r}",
+                    pred.span,
+                )
+        return space.axis_proposition(pred.dimension, [index[name] for name in names])
     if isinstance(pred, ast.Comparison):
         dim = _find_dimension(space, pred.dimension, pred.span)
         if dim.grid is None:

@@ -40,8 +40,9 @@ class _Resync(Exception):
     """Internal: unwind to the nearest statement boundary."""
 
 
-def _join(first: SourceSpan, last: SourceSpan) -> SourceSpan:
-    """The span from the start of ``first`` to the end of ``last``."""
+def _join(first: SourceSpan | Token, last: SourceSpan | Token) -> SourceSpan:
+    """The span from the start of ``first`` to the end of ``last``, each a
+    span or a token."""
     return SourceSpan(first.start, last.end, first.line, first.column)
 
 
@@ -51,6 +52,8 @@ class _Parser:
         self.index = 0
         self.diagnostics: list[Diagnostic] = []
         self.declarations: dict[str, ast.DimensionDecl | ast.ContinuumDecl] = {}
+        # The labels of each declared dimension, for lookups by hash.
+        self.label_sets: dict[str, frozenset[str]] = {}
         self.partitions: dict[str, ast.PartitionDecl] = {}
 
     # -- token plumbing ------------------------------------------------------
@@ -135,6 +138,8 @@ class _Parser:
                 else:
                     self.declarations[decl.name] = decl
                     declarations.append(decl)
+                    if isinstance(decl, ast.DimensionDecl):
+                        self.label_sets[decl.name] = frozenset(decl.labels)
                 continue
             break
         while self.at_keyword("partition"):
@@ -184,9 +189,8 @@ class _Parser:
         name = self.expect(IDENT, "a dimension name").text
         self.expect("=", "'='")
         self.expect("{", "'{'")
-        labels: list[str] = []
-        label_tok = self.parse_label()
-        labels.append(label_tok.text)
+        # A dict keeps the labels in order and tests membership by hash.
+        labels = {self.parse_label().text: None}
         while self.at(","):
             self.advance()
             label_tok = self.parse_label()
@@ -196,9 +200,9 @@ class _Parser:
                     label_tok.span,
                 )
             else:
-                labels.append(label_tok.text)
+                labels[label_tok.text] = None
         closing = self.expect("}", "',' or '}'")
-        return ast.DimensionDecl(name, tuple(labels), _join(start, closing.span))
+        return ast.DimensionDecl(name, tuple(labels), _join(start, closing))
 
     def _number(self, what: str) -> tuple[Fraction, Token]:
         tok = self.expect(NUMBER, what)
@@ -358,7 +362,10 @@ class _Parser:
                 "use an ordering comparison",
                 label_tok.span,
             )
-        elif isinstance(decl, ast.DimensionDecl) and label_tok.text not in decl.labels:
+        elif (
+            isinstance(decl, ast.DimensionDecl)
+            and label_tok.text not in self.label_sets[decl.name]
+        ):
             self.error(
                 f"unknown label {label_tok.text!r} for dimension {name!r}",
                 label_tok.span,
@@ -381,23 +388,23 @@ class _Parser:
                 self.advance()
                 label_tok = self.parse_label()
                 self._check_label(decl, label_tok, name_tok.text)
-                span = _join(name_tok.span, label_tok.span)
+                span = _join(name_tok, label_tok)
                 return ast.LabelIs(name_tok.text, label_tok.text, span), 0
             if self.at_keyword("in"):
                 self.advance()
                 self.expect("{", "'{'")
-                labels = []
+                # Repeated members are dropped; the dict keeps the first.
+                labels = {}
                 label_tok = self.parse_label()
                 self._check_label(decl, label_tok, name_tok.text)
-                labels.append(label_tok.text)
+                labels[label_tok.text] = None
                 while self.at(","):
                     self.advance()
                     label_tok = self.parse_label()
                     self._check_label(decl, label_tok, name_tok.text)
-                    if label_tok.text not in labels:
-                        labels.append(label_tok.text)
+                    labels[label_tok.text] = None
                 closing = self.expect("}", "',' or '}'")
-                span = _join(name_tok.span, closing.span)
+                span = _join(name_tok, closing)
                 return ast.LabelIn(name_tok.text, tuple(labels), span), 0
             for op in _COMPARE_OPS:
                 if self.at(op):

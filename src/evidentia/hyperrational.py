@@ -176,8 +176,8 @@ def _div_exact(p, g):
 
 
 def _canonical(num, den):
-    num = _trim(num)
-    den = _trim(den)
+    # Both inputs are already trimmed tuples: every caller passes results
+    # of _add, _mul or _neg, or the parts of a canonical value.
     if not den:
         raise ZeroDivisionError("division by zero")
     if not num:

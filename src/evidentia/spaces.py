@@ -22,8 +22,10 @@ threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -43,6 +45,11 @@ class Dimension:
     name: str
     labels: tuple[str, ...]
     grid: tuple[Fraction, Fraction] | None = None
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Position of each label, built on first use and then kept."""
+        return {label: i for i, label in enumerate(self.labels)}
 
 
 class Atom(NamedTuple):
@@ -68,7 +75,8 @@ class PossibilitySpace:
             if not dim.labels:
                 raise ValueError(f"dimension {dim.name!r} has no labels")
             if len(set(dim.labels)) != len(dim.labels):
-                dupes = sorted({l for l in dim.labels if dim.labels.count(l) > 1})
+                counts = Counter(dim.labels)
+                dupes = sorted(l for l, c in counts.items() if c > 1)
                 raise ValueError(
                     f"dimension {dim.name!r} repeats label(s): {', '.join(dupes)}"
                 )

@@ -275,12 +275,19 @@ def test_lower_predicate_standalone():
 
 
 @pytest.mark.parametrize(
-    "pred",
-    [ast.LabelIs("rank", "Z"), ast.LabelIn("rank", ("A", "Z", "K"))],
-    ids=["is", "in"],
+    "pred, missing",
+    [
+        (ast.LabelIs("rank", "Z"), "Z"),
+        (ast.LabelIn("rank", ("A", "Z", "K")), "Z"),
+        # The first unknown member in the query's order is the one named.
+        (ast.LabelIn("rank", ("A", "Y", "K", "Z")), "Y"),
+    ],
+    ids=["is", "in", "in-first-missing"],
 )
-def test_unknown_label_is_a_span_tagged_model_error(pred):
+def test_unknown_label_is_a_span_tagged_model_error(pred, missing):
     space = compile_model(parse_model(fixtures.source("deck"), "deck")).space
-    with pytest.raises(ModelError, match="unknown label 'Z' for dimension 'rank'") as exc:
+    with pytest.raises(
+        ModelError, match=f"unknown label '{missing}' for dimension 'rank'"
+    ) as exc:
         lower_predicate(space, pred)
     assert [d.span for d in exc.value.diagnostics] == [pred.span]

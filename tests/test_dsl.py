@@ -2,12 +2,13 @@
 round-tripping through the pretty-printer."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from evidentia import fixtures
-from evidentia.dsl import ModelError, parse_model
+from evidentia.dsl import ModelError, SourceSpan, compile_model, parse_model
 from evidentia.dsl import ast
 from evidentia.dsl.lexer import IDENT, NUMBER, STRING, tokenize
 
@@ -207,6 +208,76 @@ def test_diagnostic_rendering_golden():
         parse_model(source, filename="bad.evd")
     rendered = err.value.render("bad.evd")
     assert rendered == "bad.evd:2:14: error: unknown label 'Z' for dimension 'r'"
+
+
+# -- scale ---------------------------------------------------------------------------
+
+
+def test_front_end_is_linear_in_the_source():
+    # A 1.6 MB model: lexing, parsing and compiling it took minutes when
+    # label lookups scanned the declaration; the bound leaves room for a
+    # slow machine.
+    labels = [f"l{i}" for i in range(10**5)]
+    source = (
+        'model "big" {\n  dimension d = {' + ", ".join(labels) + "}\n}\n"
+        "query P(d in {" + ", ".join(reversed(labels)) + "})\n"
+    )
+    started = time.perf_counter()
+    model = parse_model(source)
+    compiled = compile_model(model)
+    elapsed = time.perf_counter() - started
+    assert model.queries[0].predicate.labels == tuple(reversed(labels))
+    assert compiled.queries[0].evaluate() == 1
+    assert elapsed < 10
+
+
+def _label_list(start: int, texts: list[str]) -> tuple[str, list[int]]:
+    """``texts`` joined by ", ", and the source offset of each when the
+    list begins at offset ``start``."""
+    offsets = []
+    at = start
+    for text in texts:
+        offsets.append(at)
+        at += len(text) + 2
+    return ", ".join(texts), offsets
+
+
+def test_label_diagnostics_at_scale():
+    # Repeated declared labels, unknown query labels (some repeated) and
+    # repeated known members: one diagnostic per bad occurrence, each with
+    # its token's span, in source order.
+    n = 3000
+    declared = [f"l{i}" for i in range(n)] + [f"l{i}" for i in range(0, n, 97)]
+    members = []
+    for i in range(0, n, 3):
+        members += [f"l{i}", f"l{i}"]
+        if i % 150 == 0:
+            members += [f"u{i}", f"u{i}"]
+    head = 'model "m" {\n  dimension d = {'
+    labels_text, label_at = _label_list(len(head), declared)
+    line3 = "query P(d in {"
+    line3_start = len(head) + len(labels_text) + len("}\n}\n")
+    members_text, member_at = _label_list(line3_start + len(line3), members)
+    source = head + labels_text + "}\n}\n" + line3 + members_text + "})\n"
+
+    expected = []
+    for text, at in zip(declared[n:], label_at[n:]):
+        span = SourceSpan(at, at + len(text), 2, at - len("model \"m\" {\n") + 1)
+        expected.append((f"duplicate label {text!r} in dimension 'd'", span))
+    for text, at in zip(members, member_at):
+        if text.startswith("u"):
+            span = SourceSpan(at, at + len(text), 4, at - line3_start + 1)
+            expected.append((f"unknown label {text!r} for dimension 'd'", span))
+    with pytest.raises(ModelError) as err:
+        parse_model(source)
+    assert [(d.message, d.span) for d in err.value.diagnostics] == expected
+
+    # Without the errors, the query keeps each member's first occurrence.
+    known = [m.replace("u", "l") for m in members]
+    model = parse_model(
+        head + ", ".join(declared[:n]) + "}\n}\n" + line3 + ", ".join(known) + "})\n"
+    )
+    assert model.queries[0].predicate.labels == tuple(dict.fromkeys(known))
 
 
 # -- pretty-printing round trips ---------------------------------------------------

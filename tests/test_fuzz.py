@@ -26,7 +26,11 @@ WORDS = (
     'model "m" { } dimension continuum partition query d x a b = , : ; ( ) | '
     "from to tranches aleph table atomic P O L E not and or true false in "
     "== < <= > >= 0 1 2.5 10 # \n"
-).split(" ")
+).split(" ") + [
+    # Letters, digits and spaces outside ASCII, which the lexer reads by
+    # its slower per-character rules.
+    "é", "ß", "aé", "²", "٣", "\u00a0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+]
 
 DEEP_FORMS = (
     lambda n: "(" * n + "d == a" + ")" * n,

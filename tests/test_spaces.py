@@ -1,5 +1,7 @@
 """Tests for space construction, the proposition algebra, and partitions."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,6 +65,22 @@ def test_empty_dimension_rejected():
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError, match="repeats label"):
         build_finite_space([("rank", ["A", "A"])])
+
+
+def test_duplicate_label_report_is_linear():
+    # Counting each label's repeats by rescanning took seconds at 10^4.
+    labels = [f"l{i}" for i in range(10**5)] + ["l7", "l3", "l7"]
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        build_finite_space([("d", labels)])
+    assert time.perf_counter() - started < 10
+    assert str(exc.value) == "dimension 'd' repeats label(s): l3, l7"
+
+
+def test_dimension_index_maps_labels_to_positions():
+    dim = build_finite_space([("d", ["x", "y", "z"])]).dimensions[0]
+    assert dim.index == {"x": 0, "y": 1, "z": 2}
+    assert dim.index is dim.index
 
 
 def test_duplicate_dimension_names_rejected():
