@@ -130,7 +130,9 @@ class Model:
 
 # -- rendering back to source ----------------------------------------------
 
-_BARE_LABEL = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?)$")
+# ASCII digits only, as in the lexer: a label of other decimal digits
+# (``\d`` would match ``٣``) must be quoted to parse back.
+_BARE_LABEL = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?)$")
 
 
 def _label_text(label: str) -> str:

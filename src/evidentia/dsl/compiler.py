@@ -1,18 +1,28 @@
 """Lowering from syntax to spaces, partitions and executable queries.
 
-Labelled dimensions become axes directly.  A continuum becomes ``tranches``
-equal half-open interval cells between its endpoints, each labelled with
-its exact bounds, e.g. ``[44,45)``.  A continuum declared with ``tranches
-aleph`` asserts that the interval is infinitely subdivided; it compiles to
-a single whole-interval cell, is only accepted in a scaled compile (where
-the infinite interior is what ``aleph`` measures), and cannot be cut by
-comparisons.
+Labelled dimensions become axes directly, one cell per label.  A continuum
+declares ``tranches`` equal half-open intervals between its endpoints, the
+atoms of its axis, e.g. ``[44,45)``.  No predicate of a model can tell
+apart two tranches between adjacent thresholds of its comparisons, and
+under the counting measure a run of ``k`` such tranches carries ``k``
+atoms.  So before it builds the space the compiler collects every
+threshold on each continuum, from partition blocks and queries alike, cuts
+the grid there and gives the axis one cell per run, labelled with the
+run's bounds and weighted with its tranche count.  Work then follows the
+runs, not the tranche count, while counts, cardinalities and every atom a
+diagnostic names stay those of the tranches.  A continuum declared with
+``tranches aleph`` asserts that the interval is infinitely subdivided; it
+compiles to a single whole-interval cell, is only accepted in a scaled
+compile (where the infinite interior is what ``aleph`` measures), and
+cannot be cut by comparisons.
 
 Predicates lower to member sets over whole cells.  An ordering comparison
 resolves each tranche in full: a threshold on a tranche boundary is exact
 (a bare boundary point weighs one atom, below tranche resolution), while a
 threshold strictly inside a tranche is an error asking for a finer grid
-rather than a silent approximation.
+rather than a silent approximation.  Lowered on its own against a compiled
+space, a comparison whose threshold is not one of the space's cuts is an
+error too.
 
 Queries are lowered eagerly, so every predicate problem surfaces at compile
 time; evaluation itself is deferred behind :class:`PreparedQuery`.
@@ -37,6 +47,7 @@ from ..spaces import (
     PossibilitySpace,
     Proposition,
     StateSpacePartition,
+    grid_label,
     make_partition,
 )
 from . import ast
@@ -83,33 +94,62 @@ class CompiledModel:
     queries: tuple[PreparedQuery, ...]
 
 
-def _dimension(decl: ast.DimensionDecl | ast.ContinuumDecl) -> Dimension:
+def _thresholds(pred: ast.Predicate | None, out: dict[str, set]) -> None:
+    """Add each comparison threshold in ``pred`` to ``out[dimension]``."""
+    if isinstance(pred, ast.Comparison):
+        out.setdefault(pred.dimension, set()).add(pred.value)
+    elif isinstance(pred, ast.NotPred):
+        _thresholds(pred.operand, out)
+    elif isinstance(pred, (ast.AndPred, ast.OrPred)):
+        _thresholds(pred.left, out)
+        _thresholds(pred.right, out)
+
+
+def _position(low, width, n: int, value):
+    # A threshold sits this many tranche widths above low, clamped to the
+    # grid: a whole position is a cut between tranches, any other falls
+    # inside tranche int(position).
+    return min(max((value - low) / width, 0), n)
+
+
+def _dimension(decl: ast.DimensionDecl | ast.ContinuumDecl, thresholds) -> Dimension:
     if isinstance(decl, ast.DimensionDecl):
         return Dimension(decl.name, decl.labels)
     count = decl.tranches or 1
-    width = (decl.high - decl.low) / count
-    edges = [str(decl.low + width * i) for i in range(count + 1)]
-    labels = tuple(f"[{lo},{hi})" for lo, hi in zip(edges, edges[1:]))
-    return Dimension(decl.name, labels, (decl.low, width))
+    grid = (decl.low, (decl.high - decl.low) / count)
+    cuts = {0, count}
+    for value in thresholds:
+        k = _position(*grid, count, value)
+        if k == int(k):
+            cuts.add(int(k))
+    edges = sorted(cuts)
+    runs = list(zip(edges, edges[1:]))
+    labels = tuple(grid_label(grid, a, b) for a, b in runs)
+    weights = None if len(runs) == count else tuple(b - a for a, b in runs)
+    return Dimension(decl.name, labels, grid, weights)
 
 
 def _comparison_indices(dim: Dimension, node: ast.Comparison) -> range:
-    # Whole tranches only.  The threshold sits k tranche widths above low,
-    # clamped to the grid: tranches below k lie inside "x < t" / "x <= t"
-    # and those from k on inside "x > t" / "x >= t" (a boundary point is one
-    # atom, below tranche resolution).  A k that is not whole falls inside
-    # tranche int(k), which neither side can hold.
-    low, width = dim.grid
-    n = len(dim.labels)
-    k = min(max((node.value - low) / width, 0), n)
+    # Whole tranches only: tranches below the cut lie inside "x < t" /
+    # "x <= t" and those from it on inside "x > t" / "x >= t" (a boundary
+    # point is one atom, below tranche resolution).  A threshold inside a
+    # tranche fits neither side.
+    k = _position(*dim.grid, dim.size, node.value)
     i = int(k)
     if k != i:
         raise _LoweringError(
-            f"threshold {node.value} splits tranche {dim.labels[i]} of "
+            f"threshold {node.value} splits tranche {dim.atom_label(i)} of "
             f"{dim.name!r}; rebuild with a finer tranche count",
             node.span,
         )
-    return range(i) if node.op in ("<", "<=") else range(i, n)
+    j = dim.boundary(i)
+    if j is None:
+        raise _LoweringError(
+            f"threshold {node.value} is not a cut of {dim.name!r} in this "
+            "compiled space; compile the comparison as part of the model",
+            node.span,
+        )
+    return range(j) if node.op in ("<", "<=") else range(j, len(dim.labels))
 
 
 def lower_predicate(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
@@ -213,7 +253,17 @@ def compile_model(
     if diagnostics:
         raise ModelError(diagnostics)
 
-    space = PossibilitySpace([_dimension(d) for d in model.declarations], scaled=scaled)
+    thresholds: dict[str, set] = {}
+    for part in model.partitions:
+        for block in part.blocks:
+            _thresholds(block.predicate, thresholds)
+    for query in model.queries:
+        _thresholds(query.predicate, thresholds)
+        _thresholds(query.given, thresholds)
+    space = PossibilitySpace(
+        [_dimension(d, thresholds.get(d.name, ())) for d in model.declarations],
+        scaled=scaled,
+    )
 
     partitions: dict[str, StateSpacePartition] = {}
     for part in model.partitions:

@@ -2,7 +2,7 @@
 probability, and executable checks of the rules they obey.
 
 ``evidence`` is the primitive: the exact cardinality of a proposition
-(cell count, times ``aleph/n`` per cell on a scaled space).  Every other
+(atom count, times ``aleph/n`` per atom on a scaled space).  Every other
 measure is a ratio of evidence values, so the scale convention cancels and
 finite and scaled spaces answer ratio queries with the same rationals.
 

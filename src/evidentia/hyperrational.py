@@ -209,8 +209,8 @@ def _canonical(num, den):
     return num, den
 
 
-def _eval_poly(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _eval_poly(p, x):
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -323,6 +323,12 @@ class Hyperrational:
         """
         if isinstance(value, float):
             raise TypeError("floats are not exact; use integers or Fraction")
+        if isinstance(value, int):
+            # Integer Horner on each side and one Fraction at the end; at a
+            # root of the denominator the Fraction route below raises.
+            den = _eval_poly(self._den, value)
+            if den:
+                return Fraction(_eval_poly(self._num, value), den)
         x = Fraction(value)
         return _eval_poly(self._num, x) / _eval_poly(self._den, x)
 

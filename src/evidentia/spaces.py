@@ -1,20 +1,32 @@
 """Possibility spaces, propositions over them, and named partitions.
 
-A space is the Cartesian product of named, finitely labelled dimensions,
-enumerated row-major in declaration order so that cell ids are
-deterministic.  Two flavours share one type:
+A space is the Cartesian product of named dimensions.  Its *atoms* are the
+indivisible possibilities, one per combination of positions along the
+dimensions, enumerated row-major in declaration order so that atom ids are
+deterministic.  Evidence counts atoms.  Two flavours share one type:
 
-* a *finite* space counts each cell as one unit of evidence;
+* a *finite* space counts each atom as one unit of evidence;
 * a *scaled* space declares the whole space to have the infinite
-  cardinality ``aleph``, split evenly so each of its ``n`` cells is a
+  cardinality ``aleph``, split evenly so each of its ``n`` atoms is a
   tranche of cardinality ``aleph/n``.  Only whole tranches can be talked
   about; anything finer means building a new space with a finer grid.
 
+A space computes over *cells*, the product of its dimensions' labels,
+enumerated row-major in the same way.  A dimension may give each label a
+*weight*, the number of consecutive atoms the label stands for; without
+weights (every space the library builders make) each label is one atom
+and the cells are the atoms.  The compiler weights a continuum's labels to
+lump each run of tranches that no predicate of its model tells apart into
+one cell, so the work follows the classes a model can distinguish rather
+than its tranche count, while counts, cardinalities and the atoms named in
+diagnostics stay those of the tranches.
+
 Propositions are immutable subsets of one space's cells, stored as one
 ``int`` bitmask with bit ``i`` for cell ``i`` and combined with ``&``
-(and), ``|`` (or) and ``~`` (not).  Cells never mix across spaces: a
-proposition means something only relative to the model that produced its
-space, so cross-space operations raise instead of silently coercing.
+(and), ``|`` (or) and ``~`` (not); their ``count`` is the number of atoms
+they hold.  Cells never mix across spaces: a proposition means something
+only relative to the model that produced its space, so cross-space
+operations raise instead of silently coercing.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -22,11 +34,12 @@ threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice, product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .hyperrational import ALEPH, Hyperrational
@@ -36,24 +49,69 @@ from .hyperrational import ALEPH, Hyperrational
 class Dimension:
     """One axis of a possibility space.
 
-    ``grid``, when present, is ``(low, width)``: label ``i`` stands for the
-    half-open interval ``[low + i*width, low + (i+1)*width)``.  Continuum
-    declarations discretised into equal tranches carry it so numeric
-    comparisons can resolve to whole cells.
+    ``grid``, when present, is ``(low, width)``: atom ``i`` along the axis
+    stands for the half-open interval ``[low + i*width, low + (i+1)*width)``.
+    Continuum declarations discretised into equal tranches carry it so
+    numeric comparisons can resolve to whole cells.
+
+    ``weights``, when present, gives each label's atom count: label ``j``
+    covers the consecutive atoms from ``offsets[j]`` up to
+    ``offsets[j + 1]``.  ``None`` means one atom per label.  Weights need a
+    grid, which names the atoms inside a label.
     """
 
     name: str
     labels: tuple[str, ...]
     grid: tuple[Fraction, Fraction] | None = None
+    weights: tuple[int, ...] | None = None
 
     @cached_property
     def index(self) -> dict[str, int]:
         """Position of each label, built on first use and then kept."""
         return {label: i for i, label in enumerate(self.labels)}
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """First atom of each label, then the atom count."""
+        return tuple(accumulate(self.weights or [1] * len(self.labels), initial=0))
+
+    @property
+    def size(self) -> int:
+        """Number of atoms along this axis."""
+        return len(self.labels) if self.weights is None else self.offsets[-1]
+
+    def atoms_of(self, label: int) -> range:
+        """The atoms along this axis that label index ``label`` covers."""
+        if self.weights is None:
+            return range(label, label + 1)
+        return range(self.offsets[label], self.offsets[label + 1])
+
+    def boundary(self, atom: int) -> int | None:
+        """Index of the label whose first atom is ``atom`` (the label count
+        when ``atom`` is the atom count), or ``None`` when ``atom`` falls
+        inside a label."""
+        if self.weights is None:
+            return atom
+        j = bisect_left(self.offsets, atom)
+        return j if self.offsets[j] == atom else None
+
+    def atom_label(self, atom: int) -> str:
+        """Label of one atom: its own label, or in a weighted dimension its
+        tranche ``[lo,hi)`` computed from the grid."""
+        if self.weights is None:
+            return self.labels[atom]
+        return grid_label(self.grid, atom, atom + 1)
+
+
+def grid_label(grid: tuple[Fraction, Fraction], start: int, stop: int) -> str:
+    """The interval ``[lo,hi)`` that grid atoms ``start`` up to ``stop``
+    cover, in exact rationals: ``[44,45)``, ``[1/2,1)``."""
+    low, width = grid
+    return f"[{low + width * start},{low + width * stop})"
+
 
 class Atom(NamedTuple):
-    """One indivisible cell: its id and its per-dimension labels."""
+    """One indivisible possibility: its id and its per-dimension labels."""
 
     index: int
     labels: tuple[str, ...]
@@ -80,12 +138,23 @@ class PossibilitySpace:
                 raise ValueError(
                     f"dimension {dim.name!r} repeats label(s): {', '.join(dupes)}"
                 )
+            if dim.weights is not None and (
+                dim.grid is None
+                or len(dim.weights) != len(dim.labels)
+                or min(dim.weights) < 1
+            ):
+                raise ValueError(
+                    f"dimension {dim.name!r} needs a grid and one positive "
+                    "weight per label"
+                )
         self._dims = dims
         self._scaled = bool(scaled)
-        size = 1
+        size = cells = 1
         for dim in dims:
-            size *= len(dim.labels)
+            size *= dim.size
+            cells *= len(dim.labels)
         self._size = size
+        self._cells = cells
         strides = []
         acc = 1
         for dim in reversed(dims):
@@ -98,7 +167,10 @@ class PossibilitySpace:
         else:
             self._unit = Hyperrational(1)
             self._total = Hyperrational(size)
-        self._full = (1 << size) - 1
+        self._full = (1 << cells) - 1
+        self._groups = tuple(
+            self._weight_groups(k) for k, dim in enumerate(dims) if dim.weights
+        )
 
     @property
     def dimensions(self) -> tuple[Dimension, ...]:
@@ -110,12 +182,17 @@ class PossibilitySpace:
 
     @property
     def size(self) -> int:
-        """Number of cells (atoms, or tranches when scaled)."""
+        """Number of atoms (tranches when scaled)."""
         return self._size
 
     @property
+    def cell_count(self) -> int:
+        """Number of cells: ``size`` unless some dimension has weights."""
+        return self._cells
+
+    @property
     def unit_cardinality(self) -> Hyperrational:
-        """Evidence carried by one cell: 1, or ``aleph/n`` when scaled."""
+        """Evidence carried by one atom: 1, or ``aleph/n`` when scaled."""
         return self._unit
 
     @property
@@ -134,8 +211,8 @@ class PossibilitySpace:
         return Proposition(self, 0)
 
     def labels_of(self, cell: int) -> tuple[str, ...]:
-        if not 0 <= cell < self._size:
-            raise IndexError(f"cell {cell} outside space of size {self._size}")
+        if not 0 <= cell < self._cells:
+            raise IndexError(f"cell {cell} outside space of size {self._cells}")
         out = []
         for dim, stride in zip(self._dims, self._strides):
             out.append(dim.labels[(cell // stride) % len(dim.labels)])
@@ -145,14 +222,18 @@ class PossibilitySpace:
         return dict(zip((d.name for d in self._dims), self.labels_of(cell)))
 
     def atoms(self) -> Iterator[Atom]:
-        for cell in range(self._size):
-            yield Atom(cell, self.labels_of(cell))
+        """Every atom with its per-dimension atom labels, in row-major order."""
+        dims = self._dims
+        combos = product(*(range(dim.size) for dim in dims))
+        for index, combo in enumerate(combos):
+            yield Atom(index, tuple(d.atom_label(i) for d, i in zip(dims, combo)))
 
     def proposition(self, members: Iterable[int]) -> "Proposition":
-        """The subset of the cells ``members``, in time linear in the size."""
-        digits = bytearray(b"0") * self._size
+        """The subset of the cells ``members``, in time linear in the cell
+        count."""
+        digits = bytearray(b"0") * self._cells
         for cell in members:
-            if not 0 <= cell < self._size:
+            if not 0 <= cell < self._cells:
                 raise ValueError("member ids fall outside the space")
             digits[-1 - cell] = ord("1")
         return Proposition(self, int(digits, 2))
@@ -160,33 +241,90 @@ class PossibilitySpace:
     def where(self, predicate: Callable[[Mapping[str, str]], bool]) -> "Proposition":
         """Subset of cells whose label assignment satisfies ``predicate``."""
         return self.proposition(
-            cell for cell in range(self._size) if predicate(self.assignment_of(cell))
+            cell for cell in range(self._cells) if predicate(self.assignment_of(cell))
         )
 
     def axis_proposition(
         self, dimension: str, label_indices: Iterable[int]
     ) -> "Proposition":
-        """Cells whose index along ``dimension`` is one of ``label_indices``:
-        one period of that pattern, doubled by shifts past the space size."""
-        k = self._dim_index(dimension)
+        """Cells whose label index along ``dimension`` is one of
+        ``label_indices``."""
+        return Proposition(self, self._axis_mask(self._dim_index(dimension), label_indices))
+
+    def _axis_mask(self, k: int, label_indices: Iterable[int]) -> int:
+        # One period of the pattern, doubled by shifts past the cell count.
         stride = self._strides[k]
         width = len(self._dims[k].labels)
         mask = 0
         for index in label_indices:
             if not 0 <= index < width:
-                raise ValueError(f"no label index {index} in dimension {dimension!r}")
+                raise ValueError(
+                    f"no label index {index} in dimension {self._dims[k].name!r}"
+                )
             mask |= ((1 << stride) - 1) << (index * stride)
         length = stride * width
-        while length < self._size:
+        while length < self._cells:
             mask |= mask << length
             length *= 2
-        return Proposition(self, mask & self._full)
+        return mask & self._full
+
+    def _weight_groups(self, k: int) -> tuple[tuple[int, int], ...]:
+        # (multiplier, cell mask) pairs, one per bit of the weights: a cell's
+        # weight along dimension k is the sum of the multipliers of the
+        # groups holding it, so a count takes at most log2(atoms) of them
+        # however many labels the dimension has.
+        weights = self._dims[k].weights
+        return tuple(
+            (1 << b, self._axis_mask(k, [j for j, w in enumerate(weights) if w >> b & 1]))
+            for b in range(max(weights).bit_length())
+        )
+
+    def _count(self, mask: int) -> int:
+        """Atoms in the cells set in ``mask``."""
+        return _weighted(mask, self._groups) if self._groups else mask.bit_count()
+
+    def _first_atoms(self, mask: int, limit: int) -> list[tuple[str, ...]]:
+        """Labels of the first ``limit`` atoms, in row-major atom order, of
+        the cells set in ``mask``.  The atoms of a label are consecutive, so
+        along each axis the labels are taken in order and each one taken
+        yields at least one atom: no call walks more than ``limit`` of them."""
+        dims, strides = self._dims, self._strides
+
+        def walk(k: int, sub: int) -> list[tuple[str, ...]]:
+            if k == len(dims):
+                return [()]
+            dim, stride = dims[k], strides[k]
+            out: list[tuple[str, ...]] = []
+            while sub and len(out) < limit:
+                j = ((sub & -sub).bit_length() - 1) // stride
+                tails = walk(k + 1, (sub >> (j * stride)) & ((1 << stride) - 1))
+                for atom in dim.atoms_of(j):
+                    label = dim.atom_label(atom)
+                    out.extend((label,) + tail for tail in tails)
+                    if len(out) >= limit:
+                        break
+                sub = sub >> ((j + 1) * stride) << ((j + 1) * stride)
+            return out[:limit]
+
+        return walk(0, mask)
 
     def _dim_index(self, name: str) -> int:
         for i, dim in enumerate(self._dims):
             if dim.name == name:
                 return i
         raise ValueError(f"no dimension named {name!r}")
+
+
+def _weighted(mask: int, groups: tuple[tuple[tuple[int, int], ...], ...]) -> int:
+    """Atoms in ``mask``: each cell weighs the product of its weights along
+    the weighted dimensions, whose groups are ``groups``."""
+    total = 0
+    for multiplier, group in groups[0]:
+        part = mask & group
+        if part:
+            rest = _weighted(part, groups[1:]) if len(groups) > 1 else part.bit_count()
+            total += multiplier * rest
+    return total
 
 
 def _cells(mask: int) -> Iterator[int]:
@@ -202,7 +340,7 @@ class Proposition:
     mask: int
 
     def __post_init__(self):
-        if self.mask < 0 or self.mask.bit_length() > self.space.size:
+        if self.mask < 0 or self.mask.bit_length() > self.space.cell_count:
             raise ValueError("member ids fall outside the space")
 
     @property
@@ -212,7 +350,8 @@ class Proposition:
 
     @property
     def count(self) -> int:
-        return self.mask.bit_count()
+        """The number of atoms in the cells held."""
+        return self.space._count(self.mask)
 
     def _same_space(self, other: "Proposition"):
         if other.space is not self.space:
@@ -235,8 +374,9 @@ class Proposition:
 
     def __repr__(self):
         body = ", ".join(map(str, islice(_cells(self.mask), 8)))
-        if self.count > 8:
-            body += f", ... ({self.count} cells)"
+        cells = self.mask.bit_count()
+        if cells > 8:
+            body += f", ... ({cells} cells)"
         return f"Proposition({{{body}}})"
 
 
@@ -251,10 +391,11 @@ class StateSpacePartition:
     blocks: tuple[tuple[str, Proposition], ...]
 
 
-def _describe_cells(space: PossibilitySpace, mask: int, limit: int = 3) -> str:
-    shown = ["/".join(space.labels_of(c)) for c in islice(_cells(mask), limit)]
-    if mask.bit_count() > limit:
-        shown.append(f"... ({mask.bit_count()} total)")
+def _describe_atoms(space: PossibilitySpace, mask: int, limit: int = 3) -> str:
+    shown = ["/".join(labels) for labels in space._first_atoms(mask, limit)]
+    total = space._count(mask)
+    if total > limit:
+        shown.append(f"... ({total} total)")
     return ", ".join(shown)
 
 
@@ -264,7 +405,8 @@ def make_partition(
     """Validate and freeze a grouping of the space into named blocks.
 
     Raises ``ValueError`` naming the offending blocks (overlap) or the
-    uncovered cells (non-exhaustiveness).
+    uncovered atoms (non-exhaustiveness): the first three in row-major
+    order and their total.
     """
     if not blocks:
         raise ValueError("a partition needs at least one block")
@@ -282,13 +424,13 @@ def make_partition(
             other = next(earlier for earlier, block in blocks if block.mask & lowest)
             raise ValueError(
                 f"blocks {other!r} and {name!r} overlap on: "
-                f"{_describe_cells(space, clashes)}"
+                f"{_describe_atoms(space, clashes)}"
             )
         covered |= prop.mask
     if covered != space._full:
         raise ValueError(
             f"partition does not cover the space; uncovered: "
-            f"{_describe_cells(space, space._full ^ covered)}"
+            f"{_describe_atoms(space, space._full ^ covered)}"
         )
     return StateSpacePartition(space, tuple((name, prop) for name, prop in blocks))
 

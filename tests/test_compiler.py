@@ -11,7 +11,6 @@ import pytest
 from evidentia import ALEPH, Hyperrational, fixtures, oracle
 from evidentia.dsl import ModelError, compile_model, lower_predicate, parse_model
 from evidentia.dsl import ast
-from evidentia.evidence import probability
 from evidentia.suites import _oracle_dimensions, oracle_predicate
 
 
@@ -84,15 +83,18 @@ def test_provenance_tags():
 
 
 def test_tranche_labels_carry_bounds():
+    # No comparison cuts the grid, so the 90 tranches are one cell; each
+    # tranche keeps its label, computed from the grid.
     model = compiled('model "q" { continuum t from 0 to 90 tranches 90 }')
     dim = model.space.dimensions[0]
-    assert dim.labels[44] == "[44,45)"
+    assert dim.atom_label(44) == "[44,45)"
     assert dim.grid == (0, 1)
 
 
 def test_fractional_tranche_labels():
     model = compiled('model "q" { continuum t from 0 to 1 tranches 2 }')
-    assert model.space.dimensions[0].labels == ("[0,1/2)", "[1/2,1)")
+    dim = model.space.dimensions[0]
+    assert [dim.atom_label(i) for i in range(dim.size)] == ["[0,1/2)", "[1/2,1)"]
 
 
 def test_boundary_comparisons_resolve_exactly():
@@ -149,9 +151,12 @@ def test_aleph_tranches_cannot_be_cut():
 
 
 def test_continuum_comparisons_match_the_oracle():
-    # Random grids and thresholds, each comparison lowered by the engine and
-    # enumerated by the oracle.  An aleph-tranche continuum is one cell, so
-    # the oracle enumerates it as one tranche.
+    # Random grids and thresholds, each comparison compiled into a model and
+    # enumerated by the oracle.  The model asks for table(p) of a partition
+    # into the comparison and its negation: a query's own text could not
+    # render thresholds such as 57/14, which have no decimal form.  An
+    # aleph-tranche continuum is one cell, so the oracle enumerates it as
+    # one tranche.
     rng = random.Random(4)
     answered = split = 0
     for _ in range(400):
@@ -162,7 +167,6 @@ def test_continuum_comparisons_match_the_oracle():
         continuum = ast.ContinuumDecl("x", low, high, tranches)
         other = ast.DimensionDecl("d", ("a", "b", "c"))
         decls = (other, continuum) if rng.random() < 0.5 else (continuum, other)
-        space = compile_model(ast.Model("m", decls, (), ()), scaled=scaled).space
         one = dataclasses.replace(continuum, tranches=tranches or 1)
         dims, bounds = _oracle_dimensions(
             ast.Model("m", tuple(one if d is continuum else d for d in decls), (), ())
@@ -174,6 +178,10 @@ def test_continuum_comparisons_match_the_oracle():
         for t in (low - 1, low, high, high + 1, on_grid, off_grid, anywhere):
             for op in ("<", "<=", ">", ">="):
                 pred = ast.Comparison("x", op, t)
+                blocks = (ast.Block("yes", pred), ast.Block("no", ast.NotPred(pred)))
+                partition = ast.PartitionDecl("p", blocks)
+                table = ast.Query("table", partition="p")
+                model = ast.Model("m", decls, (partition,), (table,))
                 try:
                     expected = oracle.probability(dims, oracle_predicate(pred, bounds))
                 except ValueError as exc:
@@ -181,10 +189,11 @@ def test_continuum_comparisons_match_the_oracle():
                     lo, hi = next(b for b in bounds["x"].values() if b[0] < t < b[1])
                     label = re.escape(f"splits tranche [{lo},{hi}) of 'x'")
                     with pytest.raises(ModelError, match=label):
-                        lower_predicate(space, pred)
+                        compile_model(model, scaled=scaled)
                     split += 1
                 else:
-                    engine = probability(lower_predicate(space, pred))
+                    query = compile_model(model, scaled=scaled).queries[0]
+                    engine = query.evaluate()[0][1]
                     assert engine == Hyperrational(expected)
                     answered += 1
     assert answered > 5000 and split > 1000

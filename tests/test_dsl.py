@@ -359,6 +359,24 @@ def test_randomized_model_round_trips():
         assert parse_model(printed) == model, printed
 
 
+@pytest.mark.parametrize("label", ["\u0663", "\u0967\u0968", "\uff13", "1\u0663", "\u0663.5", "2.\u0663", "\U0001d7d8"])
+def test_non_ascii_digit_labels_round_trip(label):
+    # Only ASCII digits make a bare NUMBER label; any other decimal digit
+    # renders quoted, so the printed model parses back to the same tree.
+    model = ast.Model(
+        "m",
+        (ast.DimensionDecl("d", (label, "b")),),
+        (),
+        (
+            ast.Query("P", ast.LabelIs("d", label)),
+            ast.Query("P", ast.LabelIn("d", ("b", label))),
+        ),
+    )
+    printed = ast.render_model(model)
+    assert f'"{label}"' in printed
+    assert parse_model(printed) == model, printed
+
+
 def test_dump_tree_is_stable():
     model = parse_model(fixtures.source("deck"), "deck")
     first = ast.dump_tree(model)

@@ -400,6 +400,32 @@ def test_substitution_commutes_with_arithmetic(a, b):
         assert (a / b).substitute(n) == sa / sb
 
 
+@given(hyperrationals(max_degree=4, max_coeff=50), st.integers(-10**6, 10**6))
+def test_integer_substitution_matches_the_fraction_route(value, n):
+    # An integer point takes integer Horner and builds one Fraction; the
+    # Fraction route evaluates each polynomial in Fraction arithmetic.
+    try:
+        expected = value.substitute(Fraction(n))
+    except ZeroDivisionError as exc:
+        with pytest.raises(ZeroDivisionError) as raised:
+            value.substitute(n)
+        assert str(raised.value) == str(exc)
+    else:
+        result = value.substitute(n)
+        assert type(result) is Fraction and result == expected
+
+
+@pytest.mark.parametrize("n", [-3, 2, 3, 5])
+def test_integer_substitution_at_a_denominator_root(n):
+    value = (ALEPH + 7) / ((ALEPH - 3) * (ALEPH + 3) * (ALEPH - 5) * (ALEPH - 2))
+    with pytest.raises(ZeroDivisionError) as by_fraction:
+        value.substitute(Fraction(n))
+    with pytest.raises(ZeroDivisionError) as by_int:
+        value.substitute(n)
+    assert str(by_int.value) == str(by_fraction.value)
+    assert value.substitute(4) == value.substitute(Fraction(4)) == Fraction(-11, 14)
+
+
 @given(hyperrationals(), hyperrationals())
 def test_substitution_preserves_comparisons(a, b):
     n = substitution_point(a, b, a - b)
