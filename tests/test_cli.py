@@ -259,3 +259,37 @@ def test_check_corrupted_model_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad), "--instances", "3")
     assert code == 1
     assert "error:" in err
+
+
+def test_check_instances_50_matches_golden(capsys):
+    code, out, err = run(capsys, "check", "--instances", "50", "--seed", "1")
+    assert code == 0 and err == ""
+    assert out == (DATA / "check_instances50_seed1.txt").read_text(encoding="utf-8")
+
+
+def test_check_skips_a_model_too_large_to_enumerate(capsys, tmp_path):
+    """A short model of 10^6 tranches is compiled lumped; the oracle
+    comparison counts its atoms from the declarations and skips it before
+    allocating anything per tranche."""
+    import time
+    import tracemalloc
+
+    big = tmp_path / "big.evd"
+    big.write_text(
+        'model "big" { continuum x from 0 to 1 tranches 1000000 }\nquery P(x < 0.5)\n',
+        encoding="utf-8",
+    )
+    started = time.monotonic()
+    code, out, err = run(capsys, "check", str(big), "--instances", "1")
+    assert time.monotonic() - started < 2
+    assert code == 0 and err == ""
+    oracle_line = next(line for line in out.splitlines() if line.startswith("oracle equivalence"))
+    assert oracle_line.endswith(f"ok (skipped models: {big})")
+
+    tracemalloc.start()
+    try:
+        assert run(capsys, "check", str(big), "--instances", "1")[1] == out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -1,9 +1,12 @@
 """Tests for the verification suites themselves: they pass on the real
 code, they are seed-reproducible, and they actually detect violations."""
 
+import importlib
 import random
 
-from evidentia import suites
+import pytest
+
+from evidentia import Odds, suites
 from evidentia.dsl import parse_model
 
 
@@ -68,13 +71,97 @@ def test_substitution_bound_clears_polynomial_roots():
     assert value.substitute(bound) > 0
 
 
-def test_suites_catch_a_broken_measure(monkeypatch):
-    """Sanity: a deliberately wrong evidence function must be detected."""
-    from evidentia import evidence as real_evidence
+def test_exhaustive_product_rule_checks_one_pair_per_count_signature(monkeypatch):
+    """The closed-form pass makes the engine checks the 4^n walk used to
+    find: the first pair of each signature (|A and B|, |B|), in walk order."""
+    checked = []
 
-    def wrong_evidence(prop):
-        return real_evidence(prop) + (1 if prop.count == 3 else 0)
+    def record(a, b):
+        checked.append((a.space.size, a.mask, b.mask))
+        return real_check(a, b)
 
-    monkeypatch.setattr(suites, "evidence", wrong_evidence)
-    result = suites.monotonicity_suite(random.Random(12), 300)
+    real_check = suites.check_product_rule
+    monkeypatch.setattr(suites, "check_product_rule", record)
+    result = suites.product_rule_exhaustive_suite(9)
+
+    walked = []
+    for n in range(1, 10):
+        seen = set()
+        for a in range(1 << n):
+            for b in range(1 << n):
+                signature = ((a & b).bit_count(), b.bit_count())
+                if n <= 6 or signature not in seen:
+                    seen.add(signature)
+                    walked.append((n, a, b))
+    assert checked == walked
+    assert result.ok and result.cases == sum(4**n for n in range(1, 10))
+
+
+def _off_by_one(measure, when):
+    """``measure``, plus one where ``when`` holds for the atom count of its
+    last argument (the proposition, or the one conditioned on)."""
+
+    def wrong(*props):
+        return measure(*props) + (1 if when(props[-1].count) else 0)
+
+    return wrong
+
+
+measures = importlib.import_module("evidentia.evidence")
+compiler = importlib.import_module("evidentia.dsl.compiler")
+
+BROKEN_LAWS = {
+    "sum_rule": (
+        measures, "evidence", _off_by_one(measures.evidence, lambda count: count == 3),
+        lambda: suites.sum_rule_suite(random.Random(1), 200),
+        (18, 'case 0: E(T) = 9; E(A) + E(not A) = 10; P(A) + P(not A) = 10/9'),
+    ),
+    "additivity": (
+        suites, "evidence", _off_by_one(measures.evidence, lambda count: count == 3),
+        lambda: suites.additivity_suite(random.Random(2), 200),
+        (60, 'case 3: E(union) = 14, sum of parts = 18, count * unit = 14'),
+    ),
+    "odds": (
+        suites, "odds", lambda prop: Odds(None) if prop.count == 3 else measures.odds(prop),
+        lambda: suites.odds_reciprocity_suite(random.Random(3), 200),
+        (9, 'case 19: O(A) = 4/3, O(not A) = infinite-odds'),
+    ),
+    "monotonicity": (
+        suites, "evidence", _off_by_one(measures.evidence, lambda count: count == 3),
+        lambda: suites.monotonicity_suite(random.Random(12), 300),
+        (1, 'case 227: E(A and B) = 4, E(A) = 4'),
+    ),
+    "exhaustive": (
+        measures, "conditional_probability",
+        _off_by_one(measures.conditional_probability, lambda count: count == 7),
+        lambda: suites.product_rule_exhaustive_suite(8),
+        (16, 'n=7 A=0x0 B=0x7f: P(A|B) = 1; P(AB)/P(B) = 0'),
+    ),
+    "oracle": (
+        suites, "probability", _off_by_one(measures.probability, lambda count: count % 2),
+        lambda: suites.oracle_equivalence_suite(random.Random(7), 60, models=[]),
+        (24, "case 0: engine 2 != oracle 1 for not (a in {a0, a1, a6, a10} and a == a8) over ['a']"),
+    ),
+    "oracle_conditional": (
+        suites, "conditional_probability",
+        _off_by_one(measures.conditional_probability, lambda count: count % 2),
+        lambda: suites.oracle_equivalence_suite(random.Random(7), 60, models=[]),
+        (8, 'case 7: conditional engine 3224/1771 != oracle 1453/1771'),
+    ),
+    "oracle_odds": (
+        compiler, "odds", lambda prop: Odds(None),
+        lambda: suites.oracle_equivalence_suite(random.Random(7), 0),
+        (2, 'coin: O(face == H): engine infinite-odds != oracle 1'),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", BROKEN_LAWS)
+def test_suites_catch_a_broken_measure(monkeypatch, law):
+    """A deliberately wrong law must be detected, with the same first
+    counterexample every time."""
+    module, name, wrong, run, expected = BROKEN_LAWS[law]
+    monkeypatch.setattr(module, name, wrong)
+    result = run()
     assert not result.ok
+    assert (len(result.failures), result.failures[0]) == expected
