@@ -269,12 +269,6 @@ def _comparable_result(kind: str, runner: Callable[[], object]):
     raise ValueError(f"no comparable form for query kind {kind!r}")
 
 
-def _odds_form(p: Fraction):
-    """The odds ``p / (1 - p)`` of a probability, in the form
-    ``_comparable_result`` gives an engine's odds."""
-    return "infinite-odds" if p == 1 else p / (1 - p)
-
-
 def scale_invariance_suite(
     models: Sequence[tuple[str, ast.Model]] | None = None
 ) -> SuiteResult:
@@ -433,6 +427,12 @@ def _oracle_conditional(dims, pred, given, bounds: _Bounds | None = None):
             dims, oracle_predicate(pred, bounds), oracle_predicate(given, bounds)
         )
     )
+
+
+def _odds_form(p: Fraction):
+    """The odds ``p / (1 - p)`` of a probability, in the form
+    ``_comparable_result`` gives an engine's odds."""
+    return "infinite-odds" if p == 1 else p / (1 - p)
 
 
 def oracle_equivalence_suite(
