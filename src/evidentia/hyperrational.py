@@ -24,6 +24,13 @@ substituting any sufficiently large integer for ``aleph``;
 :meth:`Hyperrational.substitute` exists precisely so tests can exploit that
 agreement.
 
+The uniform counting measure only ever computes one term over one term,
+``c*aleph^e/d`` (plain rationals included), and ``*`` and ``/`` of two such
+values are integer-only: multiply the coefficients, add or subtract the
+exponents, take one integer gcd.  A value times an ``int`` scales the
+numerator after one gcd with the denominator's content.  Neither builds a
+polynomial; every other product and quotient takes the general route.
+
 Values render with the ASCII token ``aleph``.  Whenever the denominator is
 a single power of ``aleph`` (plain rationals included) the value is a
 Laurent polynomial and prints as a sum of power terms in descending degree:
@@ -209,6 +216,64 @@ def _canonical(num, den):
     return num, den
 
 
+def _new(num, den):
+    # A value from parts that are already canonical.
+    value = object.__new__(Hyperrational)
+    value._num = num
+    value._den = den
+    return value
+
+
+def _monomial(c, d, e):
+    """Canonical parts of ``c*aleph^e/d`` for ints ``c`` and ``d != 0``: one
+    integer gcd for lowest terms, the sign moved to the numerator, and
+    ``aleph^|e|`` in the numerator for ``e > 0``, the denominator for
+    ``e < 0``."""
+    if not c:
+        return (), (1,)
+    g = gcd(c, d)
+    if d < 0:
+        g = -g
+    c //= g
+    d //= g
+    if e > 0:
+        return (0,) * e + (c,), (d,)
+    if e < 0:
+        return (c,), (0,) * -e + (d,)
+    return (c,), (d,)
+
+
+def _is_monomial(value) -> bool:
+    # One nonzero term over one nonzero term, c*aleph^e/d (_terms inlined:
+    # this test runs on every operand of * and /).  A canonical value has
+    # no aleph power on both sides, so e = len(num) - len(den).
+    num, den = value._num, value._den
+    return len(num) - num.count(0) == 1 == len(den) - den.count(0)
+
+
+def _monomial_times(x, num, den):
+    # x * num/den, where x and num/den are monomials (num/den may be the
+    # parts of a divisor swapped): multiply the leading coefficients and
+    # add the exponents, with no polynomial in between.
+    xn, xd = x._num, x._den
+    return _new(*_monomial(
+        xn[-1] * num[-1], xd[-1] * den[-1], len(xn) - len(xd) + len(num) - len(den)
+    ))
+
+
+def _scaled(x, k):
+    # x * k for an int k.  k adds no polynomial factor, and x's pair has
+    # content 1, so only gcd(k, content of the denominator) can cancel.
+    num, den = x._num, x._den
+    if not k:
+        return _new((), (1,))
+    g = gcd(k, *den)
+    if g != 1:
+        k //= g
+        den = tuple([c // g for c in den])
+    return _new(tuple([c * k for c in num]), den)
+
+
 def _eval_poly(p, x):
     acc = 0
     for c in reversed(p):
@@ -239,28 +304,20 @@ class Hyperrational:
 
     def __init__(self, numerator: int | Fraction = 0, denominator: int | Fraction = 1):
         if type(numerator) is int and type(denominator) is int:
-            # Lowest terms from one gcd, the sign moved to the numerator.
             if not denominator:
                 raise ZeroDivisionError("zero denominator")
-            g = gcd(numerator, denominator)
-            if denominator < 0:
-                g = -g
-            self._num = (numerator // g,) if numerator else ()
-            self._den = (denominator // g,)
+            self._num, self._den = _monomial(numerator, denominator, 0)
             return
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("floats are not exact; use integers or Fraction")
         if denominator == 0:
             raise ZeroDivisionError("zero denominator")
         value = Fraction(numerator, 1) / Fraction(denominator, 1)
-        self._num = (value.numerator,) if value.numerator else ()
-        self._den = (value.denominator,)
+        self._num, self._den = _monomial(value.numerator, value.denominator, 0)
 
     @classmethod
     def _raw(cls, num, den) -> "Hyperrational":
-        self = object.__new__(cls)
-        self._num, self._den = _canonical(num, den)
-        return self
+        return _new(*_canonical(num, den))
 
     # -- structure ---------------------------------------------------------
 
@@ -366,9 +423,15 @@ class Hyperrational:
         return o - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _scaled(self, other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self._num and o._num):
+            return _new((), (1,))
+        if _is_monomial(self) and _is_monomial(o):
+            return _monomial_times(self, o._num, o._den)
         return Hyperrational._raw(_mul(self._num, o._num), _mul(self._den, o._den))
 
     __rmul__ = __mul__
@@ -379,6 +442,10 @@ class Hyperrational:
             return NotImplemented
         if not o._num:
             raise ZeroDivisionError("division by zero")
+        if not self._num:
+            return _new((), (1,))
+        if _is_monomial(self) and _is_monomial(o):
+            return _monomial_times(self, o._den, o._num)
         return Hyperrational._raw(_mul(self._num, o._den), _mul(self._den, o._num))
 
     def __rtruediv__(self, other):
@@ -468,6 +535,10 @@ class Hyperrational:
         num, den = self._num, self._den
         if not num:
             return "0"
+        if len(num) == 1 == len(den):
+            # A plain rational, already in lowest terms over a positive
+            # denominator.
+            return str(num[0]) if den[0] == 1 else f"{num[0]}/{den[0]}"
         if _terms(den) == 1:
             # Denominator is a single aleph power: print the Laurent sum.
             return _poly_text(num, len(den) - 1, den[-1])

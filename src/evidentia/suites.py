@@ -15,7 +15,10 @@ and get the same verdict.  Up to 6 atoms the pass still checks every pair;
 past that it checks one pair per signature.  The signatures are every
 ``0 <= i <= j <= n``, and ``A = 2^i - 1``, ``B = 2^j - 1`` in ``(i, j)``
 order are the first pairs of each that a walk over all pairs meets.  The
-case count is the number of pairs decided, ``sum of 4^n``.
+case count is the number of pairs decided, ``sum of 4^n``.  The full walk
+up to 6 atoms stays because it is the only part of the pass that puts
+every mask pair through ``&`` and ``count``, so it can catch a
+mask-dependent defect that no signature representative can.
 """
 
 from __future__ import annotations

@@ -2,12 +2,16 @@
 validation, exit codes, and seed handling."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import evidentia
 from evidentia import Hyperrational, fixtures
 from evidentia.cli import main
 
@@ -28,6 +32,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# -- python -m evidentia --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, flags", [("deck", []), ("coin", ["--scaled"])])
+def test_python_dash_m_runs_the_cli(capsys, fixture_path, name, flags):
+    argv = ["eval", fixture_path(name), *flags]
+    package_root = str(Path(evidentia.__file__).resolve().parent.parent)
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+        PYTHONIOENCODING="utf-8",
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "evidentia", *argv], capture_output=True, env=env, timeout=60
+    )
+    code, out, err = run(capsys, *argv)
+    assert (done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")) == (
+        code, out, err,
+    )
+    assert code == 0 and out
 
 
 # -- eval -----------------------------------------------------------------------

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from evidentia import ALEPH, Hyperrational, MagnitudeClass, decimal_approximation
+from evidentia import hyperrational
+from evidentia.evidence import check_product_rule
 from evidentia.hyperrational import (
     MAX_PARSE_DEGREE,
     MAX_PARSE_DEPTH,
     MAX_PARSE_DIGITS,
+    _mul,
     _poly_gcd,
 )
+from evidentia.spaces import Proposition, build_finite_space, build_scaled_space
 
 INF = MagnitudeClass.INFINITE
 APP = MagnitudeClass.APPRECIABLE
@@ -472,3 +476,72 @@ def test_hash_consistent_with_equality(a, b):
     if a == b:
         assert hash(a) == hash(b)
     assert len({a, a + Hyperrational(0)}) == 1
+
+
+# -- the integer-only kernel -------------------------------------------------------
+
+
+def monomial(k, j, n):
+    """``k*aleph^j/n`` built through the polynomial route, so the operands of
+    the kernel tests do not depend on the kernel."""
+    if j >= 0:
+        return Hyperrational._raw((0,) * j + (k,), (n,))
+    return Hyperrational._raw((k,), (0,) * -j + (n,))
+
+
+def polynomial_product(x, y):
+    return Hyperrational._raw(_mul(x._num, y._num), _mul(x._den, y._den))
+
+
+def polynomial_quotient(x, y):
+    return Hyperrational._raw(_mul(x._num, y._den), _mul(x._den, y._num))
+
+
+def assert_same_value(got, want):
+    assert got.numerator_coefficients == want.numerator_coefficients
+    assert got.denominator_coefficients == want.denominator_coefficients
+    assert str(got) == str(want)
+    assert hash(got) == hash(want)
+
+
+big = st.one_of(
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+)
+nonzero = st.integers(min_value=-9, max_value=9).filter(bool)
+kernel_operands = st.one_of(
+    hyperrationals(),
+    st.just(Hyperrational(0)),
+    st.builds(monomial, st.one_of(nonzero, big), st.integers(-3, 3), st.integers(1, 9)),
+    st.builds(monomial, nonzero, st.integers(-3, 3), st.integers(min_value=2**64, max_value=2**200)),
+)
+
+
+@given(kernel_operands, kernel_operands, st.one_of(st.integers(-9, 9), big))
+def test_integer_kernel_matches_the_polynomial_route(a, b, k):
+    # Single-term operands take integer-only * and /, and an int factor
+    # scales the numerator; every result must equal the polynomial route's.
+    assert_same_value(a * b, polynomial_product(a, b))
+    if b:
+        assert_same_value(a / b, polynomial_quotient(a, b))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    exact_k = Hyperrational._raw((k,) if k else (), (1,))
+    assert_same_value(a * k, polynomial_product(a, exact_k))
+    assert_same_value(k * a, polynomial_product(exact_k, a))
+
+
+def test_engine_values_never_take_the_polynomial_route(monkeypatch):
+    # The values of the uniform measure are one term over one term, so the
+    # product rule on every pair of two small spaces needs no polynomial gcd.
+    def refuse(num, den):
+        raise AssertionError(f"polynomial route for {num}/{den}")
+
+    monkeypatch.setattr(hyperrational, "_canonical", refuse)
+    labels = ("a", "b", "c", "d")
+    for space in (build_finite_space([("u", labels)]), build_scaled_space(labels)):
+        props = [Proposition(space, mask) for mask in range(16)]
+        for a in props:
+            for b in props:
+                assert check_product_rule(a, b).passed
