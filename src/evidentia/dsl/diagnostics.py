@@ -9,7 +9,8 @@ from typing import Iterable
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Half-open byte range plus the 1-based line/column of its start."""
+    """Half-open range of ``str`` indices into the source, plus the 1-based
+    line/column of its start."""
 
     start: int
     end: int

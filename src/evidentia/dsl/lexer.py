@@ -20,6 +20,17 @@ on some characters: ``٣`` is a digit to ``\\d`` but not ``0``-``9``, and
 ``²`` is a word character to ``\\w`` but not alphabetic.  Digits are
 ``0``-``9`` only, and only ``\\n`` ends a line.
 
+A braced label list after ``in`` or ``=`` is read in one match of
+:data:`_LIST`: one or more labels (ASCII identifiers, numbers or strings)
+separated by commas, with whitespace, newlines and comments between them,
+becomes a single :data:`LIST` token whose text is the source of the whole
+list.  :func:`expand` gives back the tokens such a list stands for.  A list
+the pattern refuses (empty, a trailing or missing comma, a non-ASCII
+identifier, a stray character) is scanned token by token as above.  Each
+input has only one way to match the pattern, so a refusal costs time linear
+in what was read: comments in a gap must end at their newline, and the
+repeats inside a gap cannot trade characters with one another.
+
 Keywords are not distinguished here: the parser matches identifier text in
 context, which keeps labels free to reuse words like ``to`` or ``table``.
 """
@@ -34,6 +45,9 @@ from .diagnostics import Diagnostic, SourceSpan
 IDENT = "identifier"
 NUMBER = "number"
 STRING = "string"
+LIST = "list"
+#: The kinds of token a label may be.
+LABEL_KINDS = (IDENT, NUMBER, STRING)
 
 # The ASCII characters str.isspace() accepts, less "\n".
 _SPACE = r"[ \t\r\x0b\x0c\x1c-\x1f]"
@@ -58,6 +72,22 @@ _MASTER = re.compile(
 )
 
 
+# Whitespace and comments between the labels of a list.  A comment there
+# must end at its newline, so a run of "#" has one reading, not one per way
+# of cutting it into comments.
+_BLANK = r"[ \t\r\n\x0b\x0c\x1c-\x1f]*"
+_GAP = rf"{_BLANK}(?:\#[^\n]*\n{_BLANK})*"
+_LABEL = r'(?:[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|"[^"\n]*")'
+# "(?=(X))\1" reads X as an atomic group would; Python 3.10 has none.  The
+# repeat never backtracks into a comma and label it has read, so a list the
+# pattern refuses costs time linear in its length, and the matcher keeps
+# one small frame per label rather than one per choice inside it.
+_LIST = re.compile(rf"\{{{_GAP}{_LABEL}(?:(?=({_GAP},{_GAP}{_LABEL}))\1)*{_GAP}\}}")
+# The labels of a list without strings or comments: the runs of the
+# characters identifiers and numbers are made of.
+_BARE_LABEL = re.compile(r"[A-Za-z0-9_.]+")
+
+
 class Token(NamedTuple):
     """One token: its kind, its text (a string's without the quotes), and
     where it sits in the source."""
@@ -75,13 +105,40 @@ class Token(NamedTuple):
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
+    return _scan(source, 1, 0)
+
+
+def expand(token: Token) -> list[Token]:
+    """The tokens a :data:`LIST` token stands for, with the kinds, texts and
+    spans the token-by-token scan gives them; any other token alone."""
+    if token.kind != LIST:
+        return [token]
+    # Scanned on its own, a list's text never starts another list token:
+    # its "{" has no token before it, and its other braces are in strings.
+    tokens, _ = _scan(token.text, token.line, 1 - token.column)
+    base = token.start
+    return [
+        tuple.__new__(Token, (kind, text, start + base, end + base, line, column))
+        for kind, text, start, end, line, column in tokens
+    ]
+
+
+def list_labels(token: Token) -> list[str]:
+    """The label texts of a :data:`LIST` token, in order, repeats kept."""
+    text = token.text
+    if '"' in text or "#" in text:
+        return [t.text for t in expand(token) if t.kind in LABEL_KINDS]
+    return _BARE_LABEL.findall(text)
+
+
+def _scan(source: str, line: int, line_start: int) -> tuple[list[Token], list[Diagnostic]]:
+    """Tokens and diagnostics of ``source``, whose first character sits on
+    ``line`` at column ``1 - line_start``."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
     append = tokens.append
     # A tuple's constructor skips NamedTuple's Python-level __new__.
     new = tuple.__new__
-    line = 1
-    line_start = 0
     pos = 0
     n = len(source)
     while pos < n:
@@ -95,6 +152,19 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
                 append(new(Token, (IDENT, m.group(), start, end, line, column)))
             elif kind == "punct":
                 text = m.group()
+                if text == "{" and tokens:
+                    before = tokens[-1]
+                    if before[0] == "=" or (before[1] == "in" and before[0] == IDENT):
+                        listed = _LIST.match(source, start)
+                        if listed is not None:
+                            pos = listed.end()
+                            text = listed.group()
+                            append(new(Token, (LIST, text, start, pos, line, column)))
+                            breaks = text.count("\n")
+                            if breaks:
+                                line += breaks
+                                line_start = start + text.rindex("\n") + 1
+                            break
                 append(new(Token, (text, text, start, end, line, column)))
             elif kind == "newline":
                 line += 1

@@ -14,6 +14,15 @@ literal of more than :data:`MAX_NUMBER_DIGITS` digits, checked before it
 is converted, and a predicate nested more than
 :data:`MAX_PREDICATE_DEPTH` levels deep, since the compiler and the
 printers recurse once per level.
+
+The two places a label list belongs (``dimension X = {...}`` and
+``X in {...}``) take a list the lexer read whole as one token: the labels
+come from one regular-expression call, :meth:`dict.fromkeys` orders them and
+drops repeats, and one subset test checks them against the declaration.
+Per-label tokens are built only for a diagnostic that needs their spans.  A
+list token met anywhere else is expanded back into the tokens it stands for
+before the parser looks at it, so messages and recovery are those of the
+token-by-token scan.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from fractions import Fraction
 
 from . import ast
 from .diagnostics import Diagnostic, ModelError, SourceSpan
-from .lexer import IDENT, NUMBER, STRING, Token, tokenize
+from .lexer import IDENT, LABEL_KINDS, LIST, NUMBER, STRING, Token, expand, list_labels, tokenize
 
 _QUERY_KINDS = ("P", "O", "L", "E")
 _COMPARE_OPS = ("<", "<=", ">", ">=")
@@ -46,10 +55,16 @@ def _join(first: SourceSpan | Token, last: SourceSpan | Token) -> SourceSpan:
     return SourceSpan(first.start, last.end, first.line, first.column)
 
 
+def _label_tokens(listed: Token) -> list[Token]:
+    return [tok for tok in expand(listed) if tok.kind in LABEL_KINDS]
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.index = 0
+        # The unread tokens, the next one last, so that a list token can be
+        # replaced by its expansion in time linear in the expansion.
+        self.tokens = tokens[::-1]
+        self.last = tokens[-1] if tokens else None
         self.diagnostics: list[Diagnostic] = []
         self.declarations: dict[str, ast.DimensionDecl | ast.ContinuumDecl] = {}
         # The labels of each declared dimension, for lookups by hash.
@@ -59,13 +74,21 @@ class _Parser:
     # -- token plumbing ------------------------------------------------------
 
     def _eof_span(self) -> SourceSpan:
-        if self.tokens:
-            last = self.tokens[-1].span
-            return SourceSpan(last.end, last.end, last.line, last.column)
-        return SourceSpan(0, 0, 1, 1)
+        """The empty span just after the last token."""
+        if self.last is None:
+            return SourceSpan(0, 0, 1, 1)
+        # A list may end on a later line than it starts; its "}" may not.
+        last = expand(self.last)[-1]
+        return SourceSpan(last.end, last.end, last.line, last.column + last.end - last.start)
 
     def peek(self) -> Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+        return self.tokens[-1] if self.tokens else None
+
+    def _expand(self):
+        """Replace a list token in front by the tokens it stands for."""
+        tokens = self.tokens
+        if tokens and tokens[-1].kind == LIST:
+            tokens[-1:] = expand(tokens[-1])[::-1]
 
     def at(self, kind: str, text: str | None = None) -> bool:
         tok = self.peek()
@@ -77,9 +100,7 @@ class _Parser:
         return self.at(IDENT, word)
 
     def advance(self) -> Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+        return self.tokens.pop()
 
     def error(self, message: str, span: SourceSpan | None = None):
         if span is None:
@@ -88,14 +109,17 @@ class _Parser:
         self.diagnostics.append(Diagnostic(message, span))
 
     def _found(self) -> str:
+        self._expand()
         tok = self.peek()
         return f"'{tok.text}'" if tok else "end of input"
 
     def expect(self, kind: str, what: str) -> Token:
-        if self.at(kind):
-            return self.advance()
-        self.error(f"expected {what}, found {self._found()}")
-        raise _Resync
+        if not self.at(kind):
+            self._expand()
+            if not self.at(kind):
+                self.error(f"expected {what}, found {self._found()}")
+                raise _Resync
+        return self.advance()
 
     def expect_keyword(self, word: str) -> Token:
         if self.at_keyword(word):
@@ -105,6 +129,9 @@ class _Parser:
 
     def synchronize(self, also: tuple[str, ...] = ()):
         while (tok := self.peek()) is not None:
+            if tok.kind == LIST:
+                self._expand()
+                continue
             if tok.kind == IDENT and tok.text in _STATEMENT_STARTS:
                 return
             if tok.kind in ("}",) or tok.kind in also:
@@ -169,7 +196,7 @@ class _Parser:
                 self.synchronize()
         if self.peek() is not None:
             self.error(f"expected 'query' or end of input, found {self._found()}")
-        span = _join(start_span, self.tokens[-1].span if self.tokens else start_span)
+        span = _join(start_span, self.last or start_span)
         return ast.Model(name, tuple(declarations), tuple(partitions), tuple(queries), span)
 
     def parse_declaration(self):
@@ -179,7 +206,7 @@ class _Parser:
 
     def parse_label(self) -> Token:
         tok = self.peek()
-        if tok is not None and tok.kind in (IDENT, STRING, NUMBER):
+        if tok is not None and tok.kind in LABEL_KINDS:
             return self.advance()
         self.error(f"expected a label, found {self._found()}")
         raise _Resync
@@ -188,6 +215,17 @@ class _Parser:
         start = self.advance().span
         name = self.expect(IDENT, "a dimension name").text
         self.expect("=", "'='")
+        if self.at(LIST):
+            listed = self.advance()
+            texts = list_labels(listed)
+            labels = dict.fromkeys(texts)
+            if len(labels) < len(texts):
+                seen = set()
+                for label_tok in _label_tokens(listed):
+                    if label_tok.text in seen:
+                        self._duplicate_label(label_tok, name)
+                    seen.add(label_tok.text)
+            return ast.DimensionDecl(name, tuple(labels), _join(start, listed))
         self.expect("{", "'{'")
         # A dict keeps the labels in order and tests membership by hash.
         labels = {self.parse_label().text: None}
@@ -195,14 +233,14 @@ class _Parser:
             self.advance()
             label_tok = self.parse_label()
             if label_tok.text in labels:
-                self.error(
-                    f"duplicate label {label_tok.text!r} in dimension {name!r}",
-                    label_tok.span,
-                )
+                self._duplicate_label(label_tok, name)
             else:
                 labels[label_tok.text] = None
         closing = self.expect("}", "',' or '}'")
         return ast.DimensionDecl(name, tuple(labels), _join(start, closing))
+
+    def _duplicate_label(self, label_tok: Token, name: str):
+        self.error(f"duplicate label {label_tok.text!r} in dimension {name!r}", label_tok.span)
 
     def _number(self, what: str) -> tuple[Fraction, Token]:
         tok = self.expect(NUMBER, what)
@@ -245,6 +283,7 @@ class _Parser:
         name = self.expect(IDENT, "a partition name").text
         self.expect("{", "'{'")
         blocks: list[ast.Block] = []
+        names: set[str] = set()
         while not self.at("}"):
             if self.peek() is None:
                 self.error("expected a block or '}' before end of input")
@@ -253,12 +292,13 @@ class _Parser:
             self.expect(":", "':'")
             predicate = self.parse_predicate()
             semi = self.expect(";", "';' after the block predicate")
-            if any(b.name == block_name_tok.text for b in blocks):
+            if block_name_tok.text in names:
                 self.error(
                     f"duplicate block name {block_name_tok.text!r}",
                     block_name_tok.span,
                 )
             else:
+                names.add(block_name_tok.text)
                 span = _join(block_name_tok.span, semi.span)
                 blocks.append(ast.Block(block_name_tok.text, predicate, span))
         closing = self.advance()
@@ -371,6 +411,17 @@ class _Parser:
                 label_tok.span,
             )
 
+    def _label_in(self, name_tok: Token, decl, listed: Token) -> ast.LabelIn:
+        """``name in {...}`` from a list token."""
+        labels = dict.fromkeys(list_labels(listed))
+        if isinstance(decl, ast.ContinuumDecl) or (
+            isinstance(decl, ast.DimensionDecl)
+            and not labels.keys() <= self.label_sets[decl.name]
+        ):
+            for label_tok in _label_tokens(listed):
+                self._check_label(decl, label_tok, name_tok.text)
+        return ast.LabelIn(name_tok.text, tuple(labels), _join(name_tok, listed))
+
     def parse_atom(self, level: int) -> tuple[ast.Predicate, int]:
         if self.at("("):
             self._open(level)
@@ -392,6 +443,8 @@ class _Parser:
                 return ast.LabelIs(name_tok.text, label_tok.text, span), 0
             if self.at_keyword("in"):
                 self.advance()
+                if self.at(LIST):
+                    return self._label_in(name_tok, decl, self.advance()), 0
                 self.expect("{", "'{'")
                 # Repeated members are dropped; the dict keeps the first.
                 labels = {}

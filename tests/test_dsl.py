@@ -10,7 +10,8 @@ import pytest
 from evidentia import fixtures
 from evidentia.dsl import ModelError, SourceSpan, compile_model, parse_model
 from evidentia.dsl import ast
-from evidentia.dsl.lexer import IDENT, NUMBER, STRING, tokenize
+from evidentia.dsl.lexer import IDENT, LIST, NUMBER, STRING, expand, tokenize
+from evidentia.dsl.parser import _Parser
 
 COIN_SOURCE = 'model "coin" { dimension face = {H, T} }'
 
@@ -21,6 +22,10 @@ COIN_SOURCE = 'model "coin" { dimension face = {H, T} }'
 def test_tokenize_coin_example():
     tokens, diagnostics = tokenize(COIN_SOURCE)
     assert not diagnostics
+    # The label list is one token, which expands to the tokens it holds.
+    assert [t.kind for t in tokens] == [IDENT, STRING, "{", IDENT, IDENT, "=", LIST, "}"]
+    assert tokens[6].text == "{H, T}"
+    tokens = [t for token in tokens for t in expand(token)]
     assert len(tokens) == 12
     assert [t.kind for t in tokens] == [
         IDENT, STRING, "{", IDENT, IDENT, "=", "{", IDENT, ",", IDENT, "}", "}",
@@ -184,6 +189,22 @@ def test_duplicate_block_name_diagnostic():
     assert any("duplicate block name 'q'" in d.message for d in diags)
 
 
+@pytest.mark.parametrize(
+    "tail, message, position",
+    [
+        ("query P(x in {abc", "expected ',' or '}', found end of input", (4, 18)),
+        # The last token is a list that ends on line 5, after "  abc}".
+        ("query P(x in {abc,\n  abc}", "expected ')', found end of input", (5, 7)),
+        ("query", "expected one of 'P', 'O', 'L', 'E', 'table', 'atomic' after 'query', "
+         "found end of input", (4, 6)),
+    ],
+)
+def test_end_of_input_is_reported_after_the_last_token(tail, message, position):
+    source = 'model "m" {\n  dimension x = {abc}\n}\n' + tail
+    end = SourceSpan(len(source), len(source), *position)
+    assert [(d.message, d.span) for d in diagnostics_of(source)] == [(message, end)]
+
+
 def test_syntax_error_reports_expected_tokens():
     diags = diagnostics_of('model "x" { dimension r = A} }')
     assert any("expected '{'" in d.message for d in diags)
@@ -229,6 +250,27 @@ def test_front_end_is_linear_in_the_source():
     assert model.queries[0].predicate.labels == tuple(reversed(labels))
     assert compiled.queries[0].evaluate() == 1
     assert elapsed < 10
+
+
+def test_block_names_are_checked_by_hash():
+    # 5 * 10^4 blocks and one repeated name: one diagnostic, at the repeat,
+    # and the first block kept.  Checking each name against every earlier
+    # block took seconds at a few thousand blocks.
+    blocks = "".join(f"b{i}: d == a; " for i in range(5 * 10**4))
+    head = 'model "m" {\n  dimension d = {a, b}\n  partition p { ' + blocks
+    source = head + "b7: d == b; }\n}\n"
+    started = time.perf_counter()
+    diags = diagnostics_of(source)
+    elapsed = time.perf_counter() - started
+    at = len(head)
+    assert [(d.message, d.span) for d in diags] == [
+        ("duplicate block name 'b7'", SourceSpan(at, at + 2, 3, at - source.index("  partition") + 1))
+    ]
+    assert elapsed < 10
+    # The first block of a name is the one kept.
+    parser = _Parser(tokenize('model "m" { dimension d = {a, b} partition p { q: d == a; q: d == b; } }')[0])
+    (partition,) = parser.parse_file().partitions
+    assert [(b.name, b.predicate) for b in partition.blocks] == [("q", ast.LabelIs("d", "a"))]
 
 
 def _label_list(start: int, texts: list[str]) -> tuple[str, list[int]]:
