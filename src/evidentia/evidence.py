@@ -18,7 +18,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hyperrational import Hyperrational, MagnitudeClass, rounded_text
+from .hyperrational import Hyperrational, MagnitudeClass
 from .spaces import PossibilitySpace, Proposition, StateSpacePartition
 
 
@@ -132,7 +132,12 @@ def _log_decimal(value: Fraction, digits: int, base: str) -> str:
             result /= decimal.Decimal(2).ln()
         elif base == "10":
             result /= decimal.Decimal(10).ln()
-        return rounded_text(result, digits)
+        # quantize needs the context: its precision covers the integer
+        # digits plus `digits`.
+        rounded = result.quantize(
+            decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN
+        )
+    return format(rounded if rounded else abs(rounded), "f")  # never "-0"
 
 
 @dataclass(frozen=True)

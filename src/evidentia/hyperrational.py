@@ -29,7 +29,23 @@ The uniform counting measure only ever computes one term over one term,
 values are integer-only: multiply the coefficients, add or subtract the
 exponents, take one integer gcd.  A value times an ``int`` scales the
 numerator after one gcd with the denominator's content.  Neither builds a
-polynomial; every other product and quotient takes the general route.
+polynomial.
+
+Every other sum, difference, product and quotient follows Henrici's
+reduction (Knuth, *TAOCP* Vol. 2, 4.5.1), which takes gcds of the
+operands' parts and never of a product.  ``n1/d1 * n2/d2`` cancels
+``gcd(n1, d2)`` and ``gcd(n2, d1)`` before multiplying, and ``/``
+multiplies by the divisor's parts swapped.  ``n1/d1 + n2/d2`` needs no
+polynomial gcd when ``gcd(d1, d2) = 1``, which a constant denominator
+guarantees; otherwise, with ``g = gcd(d1, d2)`` and ``t = n1*(d2/g) +
+n2*(d1/g)``, only ``gcd(t, g)`` can cancel.  A shared power of ``aleph``
+is cancelled by slicing, so two single-term denominators need no
+polynomial gcd either.  What remains is the integer content and the sign.
+Negation and ``x**-k`` move signs only.
+
+Two values are ordered by degree first: opposite signs decide, then the
+degree of each quotient, then its leading coefficients; only when both
+tie are the two quotients cross-multiplied.
 
 Values render with the ASCII token ``aleph``.  Whenever the denominator is
 a single power of ``aleph`` (plain rationals included) the value is a
@@ -41,15 +57,16 @@ same syntax back, bit-exactly.  Because its text may come from outside
 the program, it rejects any exponent, and any polynomial it would build
 along the way, of degree above :data:`MAX_PARSE_DEGREE` (64), nesting of
 ``(`` and unary ``-`` deeper than :data:`MAX_PARSE_DEPTH` (100), any run
-of more than :data:`MAX_PARSE_DIGITS` (1000) digits, and any digit outside
-ASCII ``0``-``9``.
+of more than :data:`MAX_PARSE_DIGITS` (1000) digits, any digit outside
+ASCII ``0``-``9``, and division by zero, each as a ``ValueError`` with
+its offset.  :func:`decimal_approximation` rounds the standard part
+half-even with one integer ``divmod``.
 
 Instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
-import decimal
 import operator
 from enum import Enum
 from fractions import Fraction
@@ -79,6 +96,9 @@ MAX_PARSE_DIGITS = 1000
 
 # Polynomials are tuples of int coefficients, lowest degree first, with no
 # trailing zero coefficient; () is the zero polynomial.
+
+
+_ONE = (1,)
 
 
 def _trim(coeffs):
@@ -182,38 +202,83 @@ def _div_exact(p, g):
     return _trim(quot)
 
 
-def _canonical(num, den):
-    # Both inputs are already trimmed tuples: every caller passes results
-    # of _add, _mul or _neg, or the parts of a canonical value.
-    if not den:
-        raise ZeroDivisionError("division by zero")
-    if not num:
-        return (), (1,)
+def _cancel(p, q):
+    """``p/g``, ``q/g`` and ``g``, for nonzero trimmed ``p`` and ``q`` and
+    their gcd ``g``: primitive, with a positive leading coefficient, so the
+    quotients keep integer coefficients and their signs."""
     # Cancel the power of aleph both sides share by slicing; both tuples
     # end in a nonzero coefficient, so the loop stays inside them.
     k = 0
-    while not num[k] and not den[k]:
+    while not p[k] and not q[k]:
         k += 1
     if k:
-        num = num[k:]
-        den = den[k:]
-    # Now num or den has a nonzero constant term.  A monomial c*aleph^j
-    # on either side then shares no polynomial factor with the other: its
+        p = p[k:]
+        q = q[k:]
+    # Now p or q has a nonzero constant term.  A monomial c*aleph^j on
+    # either side then shares no polynomial factor with the other: its
     # only non-constant factors are powers of aleph, and for j > 0 the
     # other side's constant term is nonzero.  So only two sums need a gcd.
-    if _terms(num) > 1 and _terms(den) > 1:
-        g = _poly_gcd(num, den)
+    g = _ONE
+    if _terms(p) > 1 and _terms(q) > 1:
+        g = _poly_gcd(p, q)
         if len(g) > 1:
-            num = _div_exact(num, g)
-            den = _div_exact(den, g)
+            p = _div_exact(p, g)
+            q = _div_exact(q, g)
+    if k:
+        g = (0,) * k + g
+    return p, q, g
+
+
+def _finish(num, den):
+    # Lowest integer terms and a positive leading denominator coefficient,
+    # for a nonzero numerator that shares no polynomial factor with den.
     c = gcd(*num, *den)
-    if c > 1:
-        num = tuple(x // c for x in num)
-        den = tuple(x // c for x in den)
     if den[-1] < 0:
-        num = _neg(num)
-        den = _neg(den)
+        c = -c
+    if c != 1:
+        num = tuple([x // c for x in num])
+        den = tuple([x // c for x in den])
     return num, den
+
+
+def _canonical(num, den):
+    # Both inputs are trimmed tuples; the reference route for the
+    # reductions below, and the one _raw takes.
+    if not den:
+        raise ZeroDivisionError("division by zero")
+    if not num:
+        return (), _ONE
+    num, den, _ = _cancel(num, den)
+    return _finish(num, den)
+
+
+def _product(n1, d1, n2, d2):
+    # n1/d1 * n2/d2 for coprime nonzero pairs, after Henrici: cancel across
+    # the pairs first, and the two products share no factor.
+    n1, d2, _ = _cancel(n1, d2)
+    n2, d1, _ = _cancel(n2, d1)
+    return _new(*_finish(_mul(n1, n2), _mul(d1, d2)))
+
+
+def _sum(n1, d1, n2, d2):
+    # n1/d1 + n2/d2 for coprime pairs with nonzero numerators and positive
+    # leading denominator coefficients, after Henrici.  With g = gcd(d1,
+    # d2), the sum is t/((d1/g)*(d2/g)*g) for t = n1*(d2/g) + n2*(d1/g).
+    # No factor of d1/g divides t, as d1/g is coprime to n1 and to d2/g;
+    # likewise d2/g.  So only h = gcd(t, g) cancels.  A constant
+    # denominator makes g = 1, and then nothing does.
+    g = _ONE
+    if len(d1) > 1 and len(d2) > 1:
+        e1, e2, g = _cancel(d1, d2)
+    if len(g) == 1:
+        num = _add(_mul(n1, d2), _mul(n2, d1))
+        return _new(*_finish(num, _mul(d1, d2))) if num else _ZERO
+    t = _add(_mul(n1, e2), _mul(n2, e1))
+    if not t:
+        return _ZERO
+    t, g, h = _cancel(t, g)
+    # The denominator is (d1/g) * (d2/h), and d2/h = (d2/g) * (g/h).
+    return _new(*_finish(t, _mul(e1, d2 if len(h) == 1 else _mul(e2, g))))
 
 
 def _new(num, den):
@@ -230,7 +295,7 @@ def _monomial(c, d, e):
     ``aleph^|e|`` in the numerator for ``e > 0``, the denominator for
     ``e < 0``."""
     if not c:
-        return (), (1,)
+        return (), _ONE
     g = gcd(c, d)
     if d < 0:
         g = -g
@@ -266,7 +331,7 @@ def _scaled(x, k):
     # content 1, so only gcd(k, content of the denominator) can cancel.
     num, den = x._num, x._den
     if not k:
-        return _new((), (1,))
+        return _ZERO
     g = gcd(k, *den)
     if g != 1:
         k //= g
@@ -353,13 +418,16 @@ class Hyperrational:
         coefficients when numerator and denominator have equal degree, and
         0 for infinitesimals and zero.
         """
-        dn = len(self._num) - 1
-        dd = len(self._den) - 1
-        if dn > dd:
+        return Fraction(*self._standard_terms())
+
+    def _standard_terms(self) -> tuple[int, int]:
+        # The standard part as (p, q) with q > 0, not reduced.
+        num, den = self._num, self._den
+        if len(num) > len(den):
             raise ValueError("no standard part: value is infinite")
-        if not self._num or dn < dd:
-            return Fraction(0)
-        return Fraction(self._num[-1], self._den[-1])
+        if len(num) < len(den):
+            return 0, 1
+        return num[-1], den[-1]
 
     @property
     def is_rational(self) -> bool:
@@ -403,10 +471,11 @@ class Hyperrational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Hyperrational._raw(
-            _add(_mul(self._num, o._den), _mul(o._num, self._den)),
-            _mul(self._den, o._den),
-        )
+        if not o._num:
+            return self
+        if not self._num:
+            return o
+        return _sum(self._num, self._den, o._num, o._den)
 
     __radd__ = __add__
 
@@ -414,7 +483,11 @@ class Hyperrational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Hyperrational._raw(_cross_diff(self, o), _mul(self._den, o._den))
+        if not o._num:
+            return self
+        if not self._num:
+            return -o
+        return _sum(self._num, self._den, _neg(o._num), o._den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -429,10 +502,10 @@ class Hyperrational:
         if o is None:
             return NotImplemented
         if not (self._num and o._num):
-            return _new((), (1,))
+            return _ZERO
         if _is_monomial(self) and _is_monomial(o):
             return _monomial_times(self, o._num, o._den)
-        return Hyperrational._raw(_mul(self._num, o._num), _mul(self._den, o._den))
+        return _product(self._num, self._den, o._num, o._den)
 
     __rmul__ = __mul__
 
@@ -443,10 +516,10 @@ class Hyperrational:
         if not o._num:
             raise ZeroDivisionError("division by zero")
         if not self._num:
-            return _new((), (1,))
+            return _ZERO
         if _is_monomial(self) and _is_monomial(o):
             return _monomial_times(self, o._den, o._num)
-        return Hyperrational._raw(_mul(self._num, o._den), _mul(self._den, o._num))
+        return _product(self._num, self._den, o._den, o._num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -455,7 +528,7 @@ class Hyperrational:
         return o / self
 
     def __neg__(self):
-        return Hyperrational._raw(_neg(self._num), self._den)
+        return _new(_neg(self._num), self._den)
 
     def __pos__(self):
         return self
@@ -467,9 +540,10 @@ class Hyperrational:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            if not self._num:
+            num, den = self._num, self._den
+            if not num:
                 raise ZeroDivisionError("zero to a negative power")
-            base = Hyperrational._raw(self._den, self._num)
+            base = _new(den, num) if num[-1] > 0 else _new(_neg(den), _neg(num))
             exponent = -exponent
         else:
             base = self
@@ -488,9 +562,24 @@ class Hyperrational:
     # -- order -------------------------------------------------------------
 
     def _diff_sign(self, other) -> int:
-        # Sign of self - other without canonicalising it: both denominators
-        # have positive leading coefficients, so it is the sign of the
-        # cross-multiplied numerator.
+        # Sign of self - other.  Both denominators have positive leading
+        # coefficients, so opposite signs decide, then the degrees of the
+        # two quotients, then their leading coefficients; only a tie on
+        # both needs the cross-multiplied numerator.
+        n1, d1, n2, d2 = self._num, self._den, other._num, other._den
+        s1, s2 = _lead_sign(n1), _lead_sign(n2)
+        if s1 != s2:
+            return 1 if s1 > s2 else -1
+        if not s1:
+            return 0
+        e = len(n1) - len(d1) - len(n2) + len(d2)
+        if e:
+            return s1 if e > 0 else -s1
+        c = n1[-1] * d2[-1] - n2[-1] * d1[-1]
+        if c:
+            return 1 if c > 0 else -1
+        if n1 == n2 and d1 == d2:
+            return 0
         return _lead_sign(_cross_diff(self, other))
 
     def __eq__(self, other):
@@ -557,9 +646,8 @@ class Hyperrational:
         return _Reader(text).parse()
 
 
-def _laurent_term(degree: int, coeff: Fraction) -> str:
-    p = abs(coeff.numerator)
-    q = coeff.denominator
+def _laurent_term(degree: int, p: int, q: int) -> str:
+    # The term (p/q)*aleph^degree for p/q > 0 in lowest terms.
     if degree == 0:
         return f"{p}/{q}" if q != 1 else str(p)
     base = "aleph" if abs(degree) == 1 else f"aleph^{abs(degree)}"
@@ -580,12 +668,22 @@ def _poly_text(p, shift: int = 0, scale: int = 1) -> str:
         c = p[d]
         if c:
             sign = (" - " if c < 0 else " + ") if chunks else ("-" if c < 0 else "")
-            chunks.append(sign + _laurent_term(d - shift, Fraction(c, scale)))
+            c = abs(c)
+            g = gcd(c, scale)
+            chunks.append(sign + _laurent_term(d - shift, c // g, scale // g))
     return "".join(chunks)
 
 
-def _degree(value: Hyperrational) -> int:
-    return max(len(value._num), len(value._den)) - 1
+def _product_degree(a: Hyperrational, b: Hyperrational) -> int:
+    # Bounds the degree of every polynomial that a * b or a / b builds.
+    return max(len(a._num), len(a._den)) + max(len(b._num), len(b._den)) - 2
+
+
+def _sum_degree(a: Hyperrational, b: Hyperrational) -> int:
+    # Bounds the degree of every polynomial that a + b or a - b builds:
+    # n1*d2, n2*d1 and d1*d2 (a zero numerator counts as degree -1).
+    dn1, dd1, dn2, dd2 = len(a._num), len(a._den), len(b._num), len(b._den)
+    return max(dn1 + dd2, dn2 + dd1, dd1 + dd2) - 2
 
 
 class _Reader:
@@ -623,12 +721,14 @@ class _Reader:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def _expr(self) -> Hyperrational:
-        return self._chain({"+": operator.add, "-": operator.sub}, self._term)
+        ops = {"+": operator.add, "-": operator.sub}
+        return self._chain(ops, self._term, _sum_degree)
 
     def _term(self) -> Hyperrational:
-        return self._chain({"*": operator.mul, "/": operator.truediv}, self._factor)
+        ops = {"*": operator.mul, "/": operator.truediv}
+        return self._chain(ops, self._factor, _product_degree)
 
-    def _chain(self, ops, operand) -> Hyperrational:
+    def _chain(self, ops, operand, degree) -> Hyperrational:
         # operand ((op) operand)*, folded left to right.
         value = operand()
         while True:
@@ -637,8 +737,13 @@ class _Reader:
             if op not in ops:
                 return value
             self.pos += 1
+            self._skip_ws()
+            start = self.pos
             rhs = operand()
-            self._check_degree(_degree(value) + _degree(rhs))
+            self._check_degree(degree(value, rhs))
+            if op == "/" and not rhs:
+                self.pos = start
+                self._fail("division by zero")
             value = ops[op](value, rhs)
 
     def _factor(self) -> Hyperrational:
@@ -653,7 +758,8 @@ class _Reader:
             self.depth -= 1
             return value
         if "0" <= ch <= "9":
-            return Hyperrational(self._digits())
+            n = self._digits()
+            return _new((n,) if n else (), _ONE)
         if ch.isalpha():
             start = self.pos
             while self._peek().isalpha():
@@ -667,7 +773,7 @@ class _Reader:
                     self._fail("expected an integer exponent")
                 exponent = self._digits()
                 self._check_degree(exponent)
-                return ALEPH**exponent
+                return _new((0,) * exponent + _ONE, _ONE)
             return ALEPH
         self._fail("expected a number, 'aleph', '-' or '('")
         raise AssertionError  # unreachable
@@ -691,8 +797,9 @@ class _Reader:
         return value
 
 
+_ZERO = _new((), _ONE)
 #: The infinite unit: the conventional cardinality of a scaled space.
-ALEPH = Hyperrational._raw((0, 1), (1,))
+ALEPH = _new((0, 1), _ONE)
 
 
 def decimal_approximation(value: Hyperrational, digits: int = 6) -> str:
@@ -704,18 +811,11 @@ def decimal_approximation(value: Hyperrational, digits: int = 6) -> str:
     """
     if digits < 0:
         raise ValueError("digits must be nonnegative")
-    frac = value.standard_part()
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits + len(str(abs(frac.numerator))) + 5
-        quotient = decimal.Decimal(frac.numerator) / decimal.Decimal(frac.denominator)
-        return rounded_text(quotient, digits)
-
-
-def rounded_text(value: decimal.Decimal, digits: int) -> str:
-    """``value`` rounded half-even to ``digits`` places, as fixed-point text
-    that never reads ``-0``.  ``quantize`` needs a context whose precision
-    covers the integer digits plus ``digits``, so call it inside one."""
-    rounded = value.quantize(
-        decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN
-    )
-    return format(rounded if rounded else abs(rounded), "f")
+    p, q = value._standard_terms()
+    m, r = divmod(p * 10**digits, q)
+    if 2 * r > q or (2 * r == q and m & 1):
+        m += 1
+    text = str(abs(m)).rjust(digits + 1, "0")
+    if digits:
+        text = f"{text[:-digits]}.{text[-digits:]}"
+    return f"-{text}" if m < 0 else text

@@ -43,7 +43,7 @@ from .evidence import (
     odds,
     probability,
 )
-from .hyperrational import ALEPH, Hyperrational
+from .hyperrational import Hyperrational
 from .spaces import PossibilitySpace, Proposition, build_finite_space, build_scaled_space
 
 #: Default seed for every randomized suite; override with --seed or the
@@ -99,21 +99,23 @@ def _random_proposition(rng: random.Random, space: PossibilitySpace) -> Proposit
 def random_hyperrational(
     rng: random.Random, max_degree: int = 2, max_coeff: int = 9
 ) -> Hyperrational:
-    """A random field element, built through the public operations only."""
+    """A random field element: the quotient of two random integer
+    polynomials, brought to canonical form directly from their coefficient
+    tuples.  No field operation builds it: the laws suite tests ``+`` and
+    ``*`` where its laws call them, and the unit tests cover ``**``."""
 
-    def poly(force_nonzero: bool) -> Hyperrational:
+    def poly(force_nonzero: bool) -> tuple[int, ...]:
         coeffs = [
             rng.randint(-max_coeff, max_coeff)
             for _ in range(rng.randint(0, max_degree) + 1)
         ]
         if force_nonzero and not any(coeffs):
             coeffs[-1] = rng.randint(1, max_coeff)
-        total = Hyperrational(0)
-        for i, c in enumerate(coeffs):
-            total = total + Hyperrational(c) * ALEPH**i
-        return total
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple(coeffs)
 
-    return poly(False) / poly(True)
+    return Hyperrational._raw(poly(False), poly(True))
 
 
 # -- measure-law suites --------------------------------------------------------

@@ -1,21 +1,27 @@
 """Tests for the hyperrational field: canonical forms, ordering,
 magnitudes, rendering, and agreement with plain-rational substitution."""
 
+import decimal
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evidentia import ALEPH, Hyperrational, MagnitudeClass, decimal_approximation
 from evidentia import hyperrational
-from evidentia.evidence import check_product_rule
+from evidentia.evidence import check_product_rule, check_sum_rule
 from evidentia.hyperrational import (
     MAX_PARSE_DEGREE,
     MAX_PARSE_DEPTH,
     MAX_PARSE_DIGITS,
+    _add,
+    _cross_diff,
+    _lead_sign,
     _mul,
+    _neg,
     _poly_gcd,
+    _trim,
 )
 from evidentia.spaces import Proposition, build_finite_space, build_scaled_space
 
@@ -271,6 +277,40 @@ def test_parse_rejects_garbage():
     for huge in ("aleph^99999999999999999999", f"aleph^{limit + 1}", f"aleph^{limit}*aleph"):
         with pytest.raises(ValueError, match="bad hyperrational literal at offset"):
             Hyperrational.parse(huge)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("1/0", 2), ("1/(aleph - aleph)", 2), ("1/(0*aleph)", 2), ("aleph + 3 /  -0", 13)],
+)
+def test_parse_reports_division_by_zero(text, offset):
+    message = f"bad hyperrational literal at offset {offset}: division by zero"
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        Hyperrational.parse(text)
+
+
+def test_parse_bounds_sums_by_the_degrees_they_build():
+    # + and - build n1*d2, n2*d1 and d1*d2, not a polynomial of the summed
+    # degrees; * and / keep the summed bound.
+    value = ALEPH**40 + ALEPH**30 + 1
+    assert Hyperrational.parse(str(value)) == value
+    limit = MAX_PARSE_DEGREE
+    for huge in (f"aleph^{limit - 1} + 1/aleph^2", f"1/(aleph^{limit} + 1) + aleph"):
+        with pytest.raises(ValueError, match=f"degree {limit + 1} is above the limit"):
+            Hyperrational.parse(huge)
+
+
+@given(
+    st.integers(min_value=33, max_value=MAX_PARSE_DEGREE).flatmap(
+        lambda degree: st.lists(
+            st.integers(-(2**70), 2**70), min_size=degree + 1, max_size=degree + 1
+        ).filter(lambda coeffs: coeffs[-1])
+    ),
+    st.integers(min_value=1, max_value=2**70),
+)
+def test_text_round_trip_of_high_degree_polynomials(coeffs, scale):
+    value = Hyperrational._raw(tuple(coeffs), (scale,))
+    assert Hyperrational.parse(str(value)) == value
 
 
 def test_parse_bounds_nesting_depth():
@@ -533,15 +573,104 @@ def test_integer_kernel_matches_the_polynomial_route(a, b, k):
 
 
 def test_engine_values_never_take_the_polynomial_route(monkeypatch):
-    # The values of the uniform measure are one term over one term, so the
-    # product rule on every pair of two small spaces needs no polynomial gcd.
-    def refuse(num, den):
-        raise AssertionError(f"polynomial route for {num}/{den}")
+    # The values of the uniform measure are one term over one term, and the
+    # ones it sums have constant denominators, so the sum and product rules
+    # on every pair of two small spaces need no polynomial gcd.
+    def refuse(p, q):
+        raise AssertionError(f"polynomial route for {p} and {q}")
 
-    monkeypatch.setattr(hyperrational, "_canonical", refuse)
+    monkeypatch.setattr(hyperrational, "_cancel", refuse)
     labels = ("a", "b", "c", "d")
     for space in (build_finite_space([("u", labels)]), build_scaled_space(labels)):
         props = [Proposition(space, mask) for mask in range(16)]
         for a in props:
+            assert check_sum_rule(a).passed
             for b in props:
                 assert check_product_rule(a, b).passed
+
+
+# -- Henrici's reduction, the order and the approximation against references -------
+
+
+def reference_sum(x, y):
+    return Hyperrational._raw(
+        _add(_mul(x._num, y._den), _mul(y._num, x._den)), _mul(x._den, y._den)
+    )
+
+
+def reference_difference(x, y):
+    return Hyperrational._raw(_cross_diff(x, y), _mul(x._den, y._den))
+
+
+def reference_inverse_power(x, k):
+    num, den = (1,), (1,)
+    for _ in range(k):
+        num, den = _mul(num, x._den), _mul(den, x._num)
+    return Hyperrational._raw(num, den)
+
+
+def reference_approximation(value, digits):
+    """Half-even rounding of the standard part through ``decimal``."""
+    frac = value.standard_part()
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + len(str(abs(frac.numerator))) + 5
+        quotient = decimal.Decimal(frac.numerator) / decimal.Decimal(frac.denominator)
+        rounded = quotient.quantize(
+            decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN
+        )
+    return format(rounded if rounded else abs(rounded), "f")
+
+
+coefficients = st.one_of(st.integers(-9, 9), big)
+polynomials = st.lists(coefficients, max_size=3).map(_trim)
+nonzero_polynomials = polynomials.filter(bool)
+# Shared factors: 2*aleph + 1, aleph and aleph^2 - 1, or a random one.
+factors = st.one_of(
+    st.sampled_from([(1, 2), (0, 1), (-1, 0, 1)]),
+    st.lists(coefficients, min_size=2, max_size=3).map(_trim).filter(lambda p: len(p) > 1),
+)
+
+
+@st.composite
+def henrici_operands(draw):
+    """Two canonical values whose parts share the factor ``f`` wherever the
+    draw puts it: both denominators, a numerator and the other
+    denominator, or nowhere.  Zero and single-term values come too."""
+    f = draw(factors)
+
+    def operand():
+        shape = draw(st.sampled_from(["quotient", "quotient", "monomial", "zero"]))
+        if shape == "zero":
+            return Hyperrational(0)
+        if shape == "monomial":
+            j = draw(st.integers(-3, 3))
+            c = draw(coefficients.filter(bool))
+            n = draw(st.one_of(st.integers(1, 9), st.integers(2**64, 2**200)))
+            return monomial(c, j, n)
+        num, den = draw(polynomials), draw(nonzero_polynomials)
+        if draw(st.booleans()):
+            num = _mul(num, f)
+        if draw(st.booleans()):
+            den = _mul(den, f)
+        return Hyperrational._raw(num, den)
+
+    return operand(), operand()
+
+
+@settings(max_examples=300)
+@given(henrici_operands(), st.integers(1, 3), st.sampled_from([0, 1, 2, 3, 6, 20]))
+def test_henrici_routes_match_the_reference_routes(pair, k, digits):
+    a, b = pair
+    assert_same_value(a + b, reference_sum(a, b))
+    assert_same_value(a - b, reference_difference(a, b))
+    assert_same_value(a * b, polynomial_product(a, b))
+    if b:
+        assert_same_value(a / b, polynomial_quotient(a, b))
+        assert_same_value(b**-k, reference_inverse_power(b, k))
+    assert_same_value(-a, Hyperrational._raw(_neg(a._num), a._den))
+    sign = _lead_sign(_cross_diff(a, b))
+    assert (a < b, a <= b, a > b, a >= b) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+    for value in (a, a * b, a - b):
+        if value.magnitude() is not INF:
+            want = reference_approximation(value, digits)
+            assert decimal_approximation(value, digits) == want
