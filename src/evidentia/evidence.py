@@ -33,8 +33,16 @@ def evidence_top(space: PossibilitySpace) -> Hyperrational:
 
 
 def probability(prop: Proposition) -> Hyperrational:
-    """E(A) / E(A or not A): evidence for ``prop`` relative to certainty."""
-    return evidence(prop) / evidence_top(prop.space)
+    """E(A) / E(A or not A): evidence for ``prop`` relative to certainty.
+
+    Evidence counts atoms, so on one space the ratio depends on the atom
+    count alone: each space keeps the ratios it has computed, by count."""
+    known = prop.space._probabilities
+    count = prop.count
+    value = known.get(count)
+    if value is None:
+        value = known[count] = evidence(prop) / evidence_top(prop.space)
+    return value
 
 
 def conditional_probability(prop: Proposition, given: Proposition) -> Hyperrational:
@@ -164,8 +172,9 @@ def check_sum_rule(prop: Proposition) -> CheckReport:
 
 
 def check_product_rule(prop: Proposition, given: Proposition) -> CheckReport:
-    """P(A|B) = P(A and B) / P(B), checked exactly; skipped when E(B) = 0."""
-    if not evidence(given):
+    """P(A|B) = P(A and B) / P(B), checked exactly; skipped when E(B) = 0,
+    which is when B holds no atom: an atom's evidence is positive."""
+    if not given.count:
         return CheckReport(
             "product rule", True, "skipped: E(B) = 0, conditioning undefined",
             skipped=True,

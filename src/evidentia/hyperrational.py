@@ -68,6 +68,7 @@ Instances are immutable and safe to share between threads.
 from __future__ import annotations
 
 import operator
+import sys
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -589,10 +590,19 @@ class Hyperrational:
         return self._num == o._num and self._den == o._den
 
     def __hash__(self):
-        # Equal to the hash of the equal int or Fraction, as == promises.
-        if self.is_rational:
-            return hash(self.as_fraction())
-        return hash((self._num, self._den))
+        # Equal to the hash of the equal int or Fraction, as == promises:
+        # CPython's hash rule for the rational n/d, on the canonical pair.
+        if not self.is_rational:
+            return hash((self._num, self._den))
+        n = self._num[0] if self._num else 0
+        try:
+            inverse = pow(self._den[0], -1, sys.hash_info.modulus)
+        except ValueError:  # the denominator is a multiple of the modulus
+            h = sys.hash_info.inf
+        else:
+            h = hash(hash(abs(n)) * inverse)
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
 
     def __lt__(self, other):
         o = self._coerce(other)

@@ -29,7 +29,12 @@ only relative to the model that produced its space, so cross-space
 operations raise instead of silently coercing.
 
 Everything here is immutable after construction and safe to share between
-threads.
+threads, with one cache: each space keeps the probabilities that
+``evidence.probability`` has computed on it, keyed by atom count, since on
+one space a probability depends on the count alone.  It holds one entry
+per distinct count asked about, at most ``size + 1``, and stays thread-safe
+because its entries are idempotent: two threads that miss on one count
+compute equal values, and either store is right.
 """
 
 from __future__ import annotations
@@ -171,6 +176,7 @@ class PossibilitySpace:
         self._groups = tuple(
             self._weight_groups(k) for k, dim in enumerate(dims) if dim.weights
         )
+        self._probabilities: dict[int, Hyperrational] = {}  # evidence.probability's
 
     @property
     def dimensions(self) -> tuple[Dimension, ...]:

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from evidentia import (
     ALEPH,
     Hyperrational,
+    Proposition,
     atomic_probability,
     build_finite_space,
     build_scaled_space,
@@ -24,6 +25,7 @@ from evidentia import (
     partition_distribution,
     probability,
 )
+from evidentia.dsl import compile_model, parse_model
 
 RANKS = "A 2 3 4 5 6 7 8 9 10 J Q K".split()
 SUITS = ["clubs", "diamonds", "hearts", "spades"]
@@ -165,6 +167,37 @@ def test_probability_extremes():
     space = deck()
     assert probability(space.bottom) == Hyperrational(0)
     assert probability(space.top) == Hyperrational(1)
+
+
+def test_a_space_keeps_one_probability_per_count_asked():
+    # Each space keeps the probabilities it has computed, keyed by atom
+    # count, and keeps them to itself.
+    labels = [f"u{i}" for i in range(10)]
+    space, twin = build_finite_space([("u", labels)]), build_finite_space([("u", labels)])
+    rng = random.Random(4)
+    asked = set()
+    for _ in range(500):
+        prop = space.proposition(i for i in range(6) if rng.random() < 0.5)
+        assert probability(prop) == Hyperrational(prop.count, 10)
+        asked.add(prop.count)
+    assert set(space._probabilities) == asked and len(asked) == 7
+    assert twin._probabilities == {}
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_probability_on_weighted_spaces_is_the_evidence_ratio(scaled):
+    source = (
+        'model "m" {\n  dimension d = {a, b, c}\n'
+        "  continuum x from 0 to 10 tranches 10\n}\n"
+        "query P(x < 4)\nquery P(x >= 7)\n"
+    )
+    space = compile_model(parse_model(source), scaled=scaled).space
+    assert space.dimensions[1].weights == (4, 3, 3)
+    rng = random.Random(5)
+    for _ in range(300):
+        prop = Proposition(space, rng.getrandbits(space.cell_count))
+        assert probability(prop) == evidence(prop) / evidence_top(space)
+        assert probability(prop) == Hyperrational(prop.count, space.size)
 
 
 # -- conditional probability -----------------------------------------------------------

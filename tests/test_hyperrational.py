@@ -2,6 +2,7 @@
 magnitudes, rendering, and agreement with plain-rational substitution."""
 
 import decimal
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -516,6 +517,38 @@ def test_hash_consistent_with_equality(a, b):
     if a == b:
         assert hash(a) == hash(b)
     assert len({a, a + Hyperrational(0)}) == 1
+
+
+# CPython hashes the rational n/d as n times the inverse of d modulo this
+# prime, so the rule meets its edge cases at multiples of it.
+HASH_MODULUS = sys.hash_info.modulus
+
+
+@given(
+    st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.integers(2**64, 2**200),
+        st.integers(-(2**200), -(2**64)),
+    ),
+    st.one_of(
+        st.integers(1, 10**6),
+        st.integers(2**64, 2**200),
+        st.integers(1, 2**64).map(lambda k: k * HASH_MODULUS),
+    ),
+)
+def test_rational_hash_is_the_fraction_hash(n, d):
+    value = Hyperrational(n, d)
+    assert hash(value) == hash(value.as_fraction())
+    if d == 1:
+        assert hash(value) == hash(n)
+
+
+@given(st.integers(2, 10**6), st.integers(0, 2**64))
+def test_rational_hash_never_returns_minus_one(d, k):
+    # -(d + k*M)/d is -1 modulo M, and so is its reduced form.  hash()
+    # would map a -1 itself, so ask __hash__ directly.
+    value = Hyperrational(-(d + k * HASH_MODULUS), d)
+    assert value.__hash__() == hash(value.as_fraction()) == -2
 
 
 # -- the integer-only kernel -------------------------------------------------------

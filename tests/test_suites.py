@@ -165,3 +165,18 @@ def test_suites_catch_a_broken_measure(monkeypatch, law):
     result = run()
     assert not result.ok
     assert (len(result.failures), result.failures[0]) == expected
+
+
+def test_scale_invariance_sees_a_measure_broken_on_scaled_spaces_only(monkeypatch):
+    """The finite and the scaled compile of a model are two spaces, each
+    with its own probabilities: a probability the finite compile computed
+    must not answer for the scaled one."""
+    right = measures.evidence
+    monkeypatch.setattr(
+        measures, "evidence", lambda prop: right(prop) * (2 if prop.space.scaled else 1)
+    )
+    result = suites.scale_invariance_suite()
+    assert not result.ok
+    assert (len(result.failures), result.failures[0]) == (
+        11, "coin: P(face == H): finite 1/2 != scaled 1"
+    )
