@@ -23,8 +23,17 @@ from .spaces import PossibilitySpace, Proposition, StateSpacePartition
 
 
 def evidence(prop: Proposition) -> Hyperrational:
-    """Counting measure: how much of the space makes the proposition true."""
-    return prop.space.unit_cardinality * prop.count
+    """Counting measure: how much of the space makes the proposition true.
+
+    Every atom carries the space's unit cardinality, so on one space the
+    value depends on the atom count alone: each space keeps the values it
+    has computed, by count."""
+    space = prop.space
+    count = prop.count
+    value = space._evidence.get(count)
+    if value is None:
+        value = space._evidence[count] = space.unit_cardinality * count
+    return value
 
 
 def evidence_top(space: PossibilitySpace) -> Hyperrational:
@@ -150,7 +159,9 @@ def _log_decimal(value: Fraction, digits: int, base: str) -> str:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one executable rule check, with both sides rendered."""
+    """Outcome of one executable rule check, with both sides rendered in
+    ``detail``; the product rule renders them on failure only, so a passing
+    product report has an empty ``detail``."""
 
     rule: str
     passed: bool
@@ -173,7 +184,10 @@ def check_sum_rule(prop: Proposition) -> CheckReport:
 
 def check_product_rule(prop: Proposition, given: Proposition) -> CheckReport:
     """P(A|B) = P(A and B) / P(B), checked exactly; skipped when E(B) = 0,
-    which is when B holds no atom: an atom's evidence is positive."""
+    which is when B holds no atom: an atom's evidence is positive.
+
+    Both sides are rendered to ``detail`` only when they differ: the
+    suites read it for failures alone, and a passing report's is empty."""
     if not given.count:
         return CheckReport(
             "product rule", True, "skipped: E(B) = 0, conditioning undefined",
@@ -181,8 +195,9 @@ def check_product_rule(prop: Proposition, given: Proposition) -> CheckReport:
         )
     lhs = conditional_probability(prop, given)
     rhs = probability(prop & given) / probability(given)
-    detail = f"P(A|B) = {lhs}; P(AB)/P(B) = {rhs}"
-    return CheckReport("product rule", lhs == rhs, detail)
+    if lhs == rhs:
+        return CheckReport("product rule", True, "")
+    return CheckReport("product rule", False, f"P(A|B) = {lhs}; P(AB)/P(B) = {rhs}")
 
 
 def partition_distribution(

@@ -29,12 +29,13 @@ only relative to the model that produced its space, so cross-space
 operations raise instead of silently coercing.
 
 Everything here is immutable after construction and safe to share between
-threads, with one cache: each space keeps the probabilities that
-``evidence.probability`` has computed on it, keyed by atom count, since on
-one space a probability depends on the count alone.  It holds one entry
-per distinct count asked about, at most ``size + 1``, and stays thread-safe
-because its entries are idempotent: two threads that miss on one count
-compute equal values, and either store is right.
+threads, with one cache: each space keeps the evidence values and the
+probabilities that ``evidence.evidence`` and ``evidence.probability`` have
+computed on it, keyed by atom count, since on one space both depend on the
+count alone.  Each holds one entry per distinct count asked about, at most
+``size + 1``, and stays thread-safe because its entries are idempotent: two
+threads that miss on one count compute equal values, and either store is
+right.
 """
 
 from __future__ import annotations
@@ -176,6 +177,7 @@ class PossibilitySpace:
         self._groups = tuple(
             self._weight_groups(k) for k, dim in enumerate(dims) if dim.weights
         )
+        self._evidence: dict[int, Hyperrational] = {}  # evidence.evidence's
         self._probabilities: dict[int, Hyperrational] = {}  # evidence.probability's
 
     @property

@@ -57,6 +57,32 @@ def test_evidence_of_scaled_tranche():
     assert evidence(heads(space)) == ALEPH / 2
 
 
+@pytest.mark.parametrize("scaled_first", [False, True])
+def test_evidence_is_kept_per_space(scaled_first):
+    # Each space keeps the evidence it has computed, keyed by atom count,
+    # and keeps it to itself: a finite and a scaled space of one size
+    # answer the same mask with their own units, whichever is asked first.
+    labels = [f"u{i}" for i in range(6)]
+    finite = build_finite_space([("u", labels)])
+    scaled = build_scaled_space(labels, name="u")
+    mask = 0b101101
+    order = [scaled, finite] if scaled_first else [finite, scaled]
+    got = {space.scaled: evidence(Proposition(space, mask)) for space in order}
+    assert got[False] == Hyperrational(4)
+    assert got[True] == ALEPH * 4 / 6
+
+
+def test_a_space_keeps_one_evidence_per_count_asked():
+    space = build_finite_space([("u", [f"u{i}" for i in range(10)])])
+    rng = random.Random(3)
+    asked = set()
+    for _ in range(500):
+        prop = space.proposition(i for i in range(6) if rng.random() < 0.5)
+        assert evidence(prop) == Hyperrational(prop.count)
+        asked.add(prop.count)
+    assert set(space._evidence) == asked and len(asked) == 7
+
+
 def test_evidence_of_bottom_is_zero():
     assert evidence(deck().bottom) == Hyperrational(0)
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from evidentia import Odds, suites
+from evidentia import Hyperrational, Odds, suites
 from evidentia.dsl import parse_model
 
 
@@ -97,6 +97,24 @@ def test_exhaustive_product_rule_checks_one_pair_per_count_signature(monkeypatch
     assert result.ok and result.cases == sum(4**n for n in range(1, 10))
 
 
+def test_exhaustive_product_rule_renders_nothing_and_multiplies_once_per_count(monkeypatch):
+    """Every pair passes, so no side is rendered to text; evidence is kept
+    per space and atom count, so a space of n atoms makes at most n + 1
+    multiplications."""
+    calls = {"__str__": 0, "__mul__": 0}
+    for name in calls:
+        real = getattr(Hyperrational, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(Hyperrational, name, counted)
+    assert suites.product_rule_exhaustive_suite(8).ok
+    assert calls["__str__"] == 0
+    assert calls["__mul__"] <= sum(n + 1 for n in range(1, 9))
+
+
 def _off_by_one(measure, when):
     """``measure``, plus one where ``when`` holds for the atom count of its
     last argument (the proposition, or the one conditioned on)."""
@@ -136,6 +154,12 @@ BROKEN_LAWS = {
         _off_by_one(measures.conditional_probability, lambda count: count == 7),
         lambda: suites.product_rule_exhaustive_suite(8),
         (16, 'n=7 A=0x0 B=0x7f: P(A|B) = 1; P(AB)/P(B) = 0'),
+    ),
+    "random_product": (
+        measures, "conditional_probability",
+        _off_by_one(measures.conditional_probability, lambda count: count % 2),
+        lambda: suites.product_rule_random_suite(random.Random(5), 200),
+        (93, 'case 9 (n=386): P(A|B) = 284/195; P(AB)/P(B) = 89/195'),
     ),
     "oracle": (
         suites, "probability", _off_by_one(measures.probability, lambda count: count % 2),
