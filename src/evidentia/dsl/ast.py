@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagnostics import SourceSpan
+from .lexer import IDENT_PATTERN, NUMBER_PATTERN
 
 _NO_SPAN = SourceSpan(0, 0, 1, 1)
 
@@ -132,7 +133,7 @@ class Model:
 
 # ASCII digits only, as in the lexer: a label of other decimal digits
 # (``\d`` would match ``٣``) must be quoted to parse back.
-_BARE_LABEL = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?)$")
+_BARE_LABEL = re.compile(rf"(?:{IDENT_PATTERN}|{NUMBER_PATTERN})$")
 
 
 def _label_text(label: str) -> str:

@@ -1,28 +1,20 @@
 """Lowering from syntax to spaces, partitions and executable queries.
 
-Labelled dimensions become axes directly, one cell per label.  A continuum
-declares ``tranches`` equal half-open intervals between its endpoints, the
-atoms of its axis, e.g. ``[44,45)``.  No predicate of a model can tell
-apart two tranches between adjacent thresholds of its comparisons, and
-under the counting measure a run of ``k`` such tranches carries ``k``
-atoms.  So before it builds the space the compiler collects every
-threshold on each continuum, from partition blocks and queries alike, cuts
-the grid there and gives the axis one cell per run, labelled with the
-run's bounds and weighted with its tranche count.  Work then follows the
-runs, not the tranche count, while counts, cardinalities and every atom a
-diagnostic names stay those of the tranches.  A continuum declared with
-``tranches aleph`` asserts that the interval is infinitely subdivided; it
-compiles to a single whole-interval cell, is only accepted in a scaled
-compile (where the infinite interior is what ``aleph`` measures), and
-cannot be cut by comparisons.
+Labelled dimensions become axes directly, one cell per label.  For each
+continuum the compiler collects every threshold its model compares
+against, from partition blocks and queries alike, and builds the axis with
+:meth:`~evidentia.spaces.Dimension.continuum`, which cuts the grid there
+and lumps each run of tranches between two cuts into one weighted cell.
+A continuum declared with ``tranches aleph`` asserts that the interval is
+infinitely subdivided; it compiles to a single whole-interval cell, is only
+accepted in a scaled compile (where the infinite interior is what
+``aleph`` measures), and cannot be cut by comparisons.
 
 Predicates lower to member sets over whole cells.  An ordering comparison
-resolves each tranche in full: a threshold on a tranche boundary is exact
-(a bare boundary point weighs one atom, below tranche resolution), while a
-threshold strictly inside a tranche is an error asking for a finer grid
-rather than a silent approximation.  Lowered on its own against a compiled
-space, a comparison whose threshold is not one of the space's cuts is an
-error too.
+resolves through :meth:`~evidentia.spaces.Dimension.compare`, and a
+threshold it cannot resolve, strictly inside a tranche or (lowered on its
+own against a compiled space) not one of the space's cuts, becomes a
+diagnostic at the comparison's span.
 
 Queries are lowered eagerly, so every predicate problem surfaces at compile
 time; evaluation itself is deferred behind :class:`PreparedQuery`.
@@ -47,7 +39,6 @@ from ..spaces import (
     PossibilitySpace,
     Proposition,
     StateSpacePartition,
-    grid_label,
     make_partition,
 )
 from . import ast
@@ -105,51 +96,10 @@ def _thresholds(pred: ast.Predicate | None, out: dict[str, set]) -> None:
         _thresholds(pred.right, out)
 
 
-def _position(low, width, n: int, value):
-    # A threshold sits this many tranche widths above low, clamped to the
-    # grid: a whole position is a cut between tranches, any other falls
-    # inside tranche int(position).
-    return min(max((value - low) / width, 0), n)
-
-
 def _dimension(decl: ast.DimensionDecl | ast.ContinuumDecl, thresholds) -> Dimension:
     if isinstance(decl, ast.DimensionDecl):
         return Dimension(decl.name, decl.labels)
-    count = decl.tranches or 1
-    grid = (decl.low, (decl.high - decl.low) / count)
-    cuts = {0, count}
-    for value in thresholds:
-        k = _position(*grid, count, value)
-        if k == int(k):
-            cuts.add(int(k))
-    edges = sorted(cuts)
-    runs = list(zip(edges, edges[1:]))
-    labels = tuple(grid_label(grid, a, b) for a, b in runs)
-    weights = None if len(runs) == count else tuple(b - a for a, b in runs)
-    return Dimension(decl.name, labels, grid, weights)
-
-
-def _comparison_indices(dim: Dimension, node: ast.Comparison) -> range:
-    # Whole tranches only: tranches below the cut lie inside "x < t" /
-    # "x <= t" and those from it on inside "x > t" / "x >= t" (a boundary
-    # point is one atom, below tranche resolution).  A threshold inside a
-    # tranche fits neither side.
-    k = _position(*dim.grid, dim.size, node.value)
-    i = int(k)
-    if k != i:
-        raise _LoweringError(
-            f"threshold {node.value} splits tranche {dim.atom_label(i)} of "
-            f"{dim.name!r}; rebuild with a finer tranche count",
-            node.span,
-        )
-    j = dim.boundary(i)
-    if j is None:
-        raise _LoweringError(
-            f"threshold {node.value} is not a cut of {dim.name!r} in this "
-            "compiled space; compile the comparison as part of the model",
-            node.span,
-        )
-    return range(j) if node.op in ("<", "<=") else range(j, len(dim.labels))
+    return Dimension.continuum(decl.name, decl.low, decl.high, decl.tranches or 1, thresholds)
 
 
 def lower_predicate(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
@@ -188,12 +138,11 @@ def _lower(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
         return space.axis_proposition(pred.dimension, [index[name] for name in names])
     if isinstance(pred, ast.Comparison):
         dim = _find_dimension(space, pred.dimension, pred.span)
-        if dim.grid is None:
-            raise _LoweringError(
-                f"{pred.dimension!r} has no numeric order to compare against",
-                pred.span,
-            )
-        return space.axis_proposition(pred.dimension, _comparison_indices(dim, pred))
+        try:
+            indices = dim.compare(pred.op, pred.value)
+        except ValueError as exc:
+            raise _LoweringError(str(exc), pred.span) from None
+        return space.axis_proposition(pred.dimension, indices)
     raise TypeError(f"not a predicate node: {pred!r}")
 
 

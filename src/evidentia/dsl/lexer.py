@@ -51,6 +51,10 @@ LABEL_KINDS = (IDENT, NUMBER, STRING)
 
 # The ASCII characters str.isspace() accepts, less "\n".
 _SPACE = r"[ \t\r\x0b\x0c\x1c-\x1f]"
+#: An ASCII identifier and a number: the two forms of a bare label, which
+#: the scan, the label-list pattern and rendering back to source all share.
+IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
+NUMBER_PATTERN = r"[0-9]+(?:\.[0-9]+)?"
 
 # Punctuation tokens use their own text as the kind.  An ASCII identifier
 # run followed by a non-ASCII character matches ``wide`` as well, which
@@ -58,11 +62,11 @@ _SPACE = r"[ \t\r\x0b\x0c\x1c-\x1f]"
 # earlier alternative starts with.
 _MASTER = re.compile(
     rf"""
-      (?P<ident>[A-Za-z_][A-Za-z0-9_]*)(?P<wide>[^\x00-\x7f])?
+      (?P<ident>{IDENT_PATTERN})(?P<wide>[^\x00-\x7f])?
     | {_SPACE}+
     | (?P<punct>==|<=|>=|[{{}}(),;:|<>=])
     | (?P<newline>\n{_SPACE}*)
-    | (?P<number>[0-9]+(?:\.[0-9]+)?)
+    | (?P<number>{NUMBER_PATTERN})
     | (?P<string>"[^"\n]*")
     | \#[^\n]*
     | (?P<unterminated>"[^"\n]*)
@@ -77,7 +81,7 @@ _MASTER = re.compile(
 # of cutting it into comments.
 _BLANK = r"[ \t\r\n\x0b\x0c\x1c-\x1f]*"
 _GAP = rf"{_BLANK}(?:\#[^\n]*\n{_BLANK})*"
-_LABEL = r'(?:[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|"[^"\n]*")'
+_LABEL = rf'(?:{IDENT_PATTERN}|{NUMBER_PATTERN}|"[^"\n]*")'
 # "(?=(X))\1" reads X as an atomic group would; Python 3.10 has none.  The
 # repeat never backtracks into a comma and label it has read, so a list the
 # pattern refuses costs time linear in its length, and the matcher keeps

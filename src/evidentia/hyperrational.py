@@ -27,9 +27,9 @@ agreement.
 The uniform counting measure only ever computes one term over one term,
 ``c*aleph^e/d`` (plain rationals included), and ``*`` and ``/`` of two such
 values are integer-only: multiply the coefficients, add or subtract the
-exponents, take one integer gcd.  A value times an ``int`` scales the
-numerator after one gcd with the denominator's content.  Neither builds a
-polynomial.
+exponents, take one integer gcd, and build no polynomial.  An ``int`` or
+``Fraction`` operand is coerced like any other and is itself one such
+term.
 
 Every other sum, difference, product and quotient follows Henrici's
 reduction (Knuth, *TAOCP* Vol. 2, 4.5.1), which takes gcds of the
@@ -327,19 +327,6 @@ def _monomial_times(x, num, den):
     ))
 
 
-def _scaled(x, k):
-    # x * k for an int k.  k adds no polynomial factor, and x's pair has
-    # content 1, so only gcd(k, content of the denominator) can cancel.
-    num, den = x._num, x._den
-    if not k:
-        return _ZERO
-    g = gcd(k, *den)
-    if g != 1:
-        k //= g
-        den = tuple([c // g for c in den])
-    return _new(tuple([c * k for c in num]), den)
-
-
 def _eval_poly(p, x):
     acc = 0
     for c in reversed(p):
@@ -497,8 +484,6 @@ class Hyperrational:
         return o - self
 
     def __mul__(self, other):
-        if type(other) is int:
-            return _scaled(self, other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

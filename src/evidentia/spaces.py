@@ -15,11 +15,21 @@ A space computes over *cells*, the product of its dimensions' labels,
 enumerated row-major in the same way.  A dimension may give each label a
 *weight*, the number of consecutive atoms the label stands for; without
 weights (every space the library builders make) each label is one atom
-and the cells are the atoms.  The compiler weights a continuum's labels to
-lump each run of tranches that no predicate of its model tells apart into
-one cell, so the work follows the classes a model can distinguish rather
-than its tranche count, while counts, cardinalities and the atoms named in
-diagnostics stay those of the tranches.
+and the cells are the atoms.
+
+A continuum is an interval cut into equal half-open tranches, the atoms of
+its axis, e.g. ``[44,45)``.  :meth:`Dimension.continuum` cuts it only at
+the thresholds that fall on a tranche boundary and gives each run of
+tranches between two cuts one cell, labelled with the run's bounds and
+weighted with its tranche count.  No comparison against those thresholds
+can tell two tranches of a run apart, so the work follows the classes a
+model can distinguish rather than its tranche count, while counts,
+cardinalities and the atoms named in diagnostics stay those of the
+tranches.  :meth:`Dimension.compare` resolves an ordering comparison to
+whole cells: a threshold on a tranche boundary is exact (a bare boundary
+point weighs one atom, below tranche resolution), while a threshold
+strictly inside a tranche, or on a boundary the dimension was not cut at,
+is an error rather than a silent approximation.
 
 Propositions are immutable subsets of one space's cells, stored as one
 ``int`` bitmask with bit ``i`` for cell ``i`` and combined with ``&``
@@ -92,24 +102,68 @@ class Dimension:
             return range(label, label + 1)
         return range(self.offsets[label], self.offsets[label + 1])
 
-    def boundary(self, atom: int) -> int | None:
-        """Index of the label whose first atom is ``atom`` (the label count
-        when ``atom`` is the atom count), or ``None`` when ``atom`` falls
-        inside a label."""
-        if self.weights is None:
-            return atom
-        j = bisect_left(self.offsets, atom)
-        return j if self.offsets[j] == atom else None
-
     def atom_label(self, atom: int) -> str:
         """Label of one atom: its own label, or in a weighted dimension its
         tranche ``[lo,hi)`` computed from the grid."""
         if self.weights is None:
             return self.labels[atom]
-        return grid_label(self.grid, atom, atom + 1)
+        return _grid_label(self.grid, atom, atom + 1)
+
+    @classmethod
+    def continuum(
+        cls, name: str, low: Fraction, high: Fraction, tranches: int, thresholds=()
+    ) -> "Dimension":
+        """The interval from ``low`` to ``high`` in ``tranches`` equal
+        tranches, cut at each of ``thresholds`` that falls on a tranche
+        boundary: one cell per run between two cuts, weighted with its
+        tranche count, or one per tranche (``weights`` ``None``) when every
+        tranche is cut."""
+        grid = (low, (high - low) / tranches)
+        cuts = {0, tranches}
+        for value in thresholds:
+            k = _position(grid, tranches, value)
+            if k == int(k):
+                cuts.add(int(k))
+        edges = sorted(cuts)
+        runs = list(zip(edges, edges[1:]))
+        labels = tuple(_grid_label(grid, a, b) for a, b in runs)
+        weights = None if len(runs) == tranches else tuple(b - a for a, b in runs)
+        return cls(name, labels, grid, weights)
+
+    def compare(self, op: str, value: Fraction) -> range:
+        """Indices of the labels where ``x op value`` holds, for ``op`` one
+        of ``<``, ``<=``, ``>``, ``>=``.  Tranches below the cut at
+        ``value`` lie inside ``x < value`` and ``x <= value``, those from it
+        on inside ``x > value`` and ``x >= value``.  Raises ``ValueError``
+        when the dimension has no grid, when ``value`` falls inside a
+        tranche, or when the dimension was not cut there."""
+        if self.grid is None:
+            raise ValueError(f"{self.name!r} has no numeric order to compare against")
+        k = _position(self.grid, self.size, value)
+        i = int(k)
+        if k != i:
+            raise ValueError(
+                f"threshold {value} splits tranche {self.atom_label(i)} of "
+                f"{self.name!r}; rebuild with a finer tranche count"
+            )
+        j = bisect_left(self.offsets, i)
+        if self.offsets[j] != i:
+            raise ValueError(
+                f"threshold {value} is not a cut of {self.name!r} in this "
+                "compiled space; compile the comparison as part of the model"
+            )
+        return range(j) if op in ("<", "<=") else range(j, len(self.labels))
 
 
-def grid_label(grid: tuple[Fraction, Fraction], start: int, stop: int) -> str:
+def _position(grid: tuple[Fraction, Fraction], n: int, value: Fraction) -> Fraction:
+    # A threshold sits this many tranche widths above the grid's low end,
+    # clamped to its n tranches: a whole position is a cut between
+    # tranches, any other falls inside tranche int(position).
+    low, width = grid
+    return min(max((value - low) / width, 0), n)
+
+
+def _grid_label(grid: tuple[Fraction, Fraction], start: int, stop: int) -> str:
     """The interval ``[lo,hi)`` that grid atoms ``start`` up to ``stop``
     cover, in exact rationals: ``[44,45)``, ``[1/2,1)``."""
     low, width = grid

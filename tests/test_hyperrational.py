@@ -592,8 +592,8 @@ kernel_operands = st.one_of(
 
 @given(kernel_operands, kernel_operands, st.one_of(st.integers(-9, 9), big))
 def test_integer_kernel_matches_the_polynomial_route(a, b, k):
-    # Single-term operands take integer-only * and /, and an int factor
-    # scales the numerator; every result must equal the polynomial route's.
+    # Single-term operands take integer-only * and /, an int factor among
+    # them; every result must equal the polynomial route's.
     assert_same_value(a * b, polynomial_product(a, b))
     if b:
         assert_same_value(a / b, polynomial_quotient(a, b))

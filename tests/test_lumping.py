@@ -196,6 +196,16 @@ def test_standalone_comparison_off_the_cuts_is_a_model_error():
         lower_predicate(space, ast.Comparison("x", "<", Fraction(13, 2)))
 
 
+def test_standalone_comparison_on_a_labelled_dimension_is_a_model_error():
+    space = compile_model(parse_model('model "m" { dimension rank = {A, K} }')).space
+    pred = ast.Comparison("rank", "<", Fraction(3), SourceSpan(5, 13, 2, 3))
+    with pytest.raises(ModelError) as exc:
+        lower_predicate(space, pred)
+    assert [(d.message, d.span) for d in exc.value.diagnostics] == [
+        ("'rank' has no numeric order to compare against", pred.span)
+    ]
+
+
 def test_partition_listings_name_atoms_not_cells():
     source = (
         'model "m" {\n'

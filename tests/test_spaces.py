@@ -1,12 +1,16 @@
 """Tests for space construction, the proposition algebra, and partitions."""
 
+import doctest
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import evidentia
 from evidentia import (
     ALEPH,
+    Dimension,
     Hyperrational,
     Proposition,
     build_finite_space,
@@ -86,6 +90,70 @@ def test_dimension_index_maps_labels_to_positions():
 def test_duplicate_dimension_names_rejected():
     with pytest.raises(ValueError, match="duplicate dimension"):
         build_finite_space([("d", ["x"]), ("d", ["y"])])
+
+
+# -- continua ----------------------------------------------------------------------
+
+
+def continuum(thresholds, low=0, high=10, tranches=10, name="x"):
+    thresholds = [Fraction(t) for t in thresholds]
+    return Dimension.continuum(name, Fraction(low), Fraction(high), tranches, thresholds)
+
+
+def test_continuum_cuts_only_at_thresholds_on_the_grid():
+    dim = continuum(["4", "7", "13/2"])
+    assert dim.labels == ("[0,4)", "[4,7)", "[7,10)")
+    assert dim.weights == (4, 3, 3)
+    assert dim.grid == (0, 1)
+    assert (dim.size, dim.atom_label(5)) == (10, "[5,6)")
+    dim = continuum(["25/2", "15"], low=10, high=20, tranches=4, name="t")
+    assert dim.labels == ("[10,25/2)", "[25/2,15)", "[15,20)")
+    assert (dim.grid, dim.weights) == ((10, Fraction(5, 2)), (1, 1, 2))
+
+
+@pytest.mark.parametrize("thresholds", [[], ["13/2"], ["-3", "40"], ["0", "10"]])
+def test_continuum_without_a_cut_inside_is_one_cell(thresholds):
+    # Off the grid, at or beyond the ends: no threshold cuts the interior.
+    dim = continuum(thresholds)
+    assert (dim.labels, dim.weights) == (("[0,10)",), (10,))
+
+
+def test_continuum_cut_at_every_tranche_has_no_weights():
+    dim = continuum(["1/4", "1/2", "3/4"], high=1, tranches=4)
+    assert dim.labels == ("[0,1/4)", "[1/4,1/2)", "[1/2,3/4)", "[3/4,1)")
+    assert dim.weights is None
+    assert continuum([], tranches=1).weights is None
+    assert dim.compare("<", Fraction(1, 2)) == range(2)
+    assert dim.compare(">=", Fraction(3, 4)) == range(3, 4)
+
+
+def test_compare_resolves_cuts_to_label_ranges():
+    dim = continuum(["4", "7"])
+    assert dim.compare("<", Fraction(4)) == range(0, 1)
+    assert dim.compare("<=", Fraction(4)) == range(0, 1)
+    assert dim.compare(">", Fraction(4)) == range(1, 3)
+    assert dim.compare(">=", Fraction(7)) == range(2, 3)
+    # The ends of the grid, and anything beyond them, are cuts too.
+    assert dim.compare("<", Fraction(0)) == dim.compare("<", Fraction(-3)) == range(0)
+    assert dim.compare(">=", Fraction(10)) == dim.compare(">", Fraction(40)) == range(3, 3)
+
+
+def test_compare_messages():
+    dim = continuum(["4", "7"])
+    with pytest.raises(ValueError) as exc:
+        dim.compare("<", Fraction(13, 2))
+    assert str(exc.value) == (
+        "threshold 13/2 splits tranche [6,7) of 'x'; rebuild with a finer tranche count"
+    )
+    with pytest.raises(ValueError) as exc:
+        dim.compare(">", Fraction(5))
+    assert str(exc.value) == (
+        "threshold 5 is not a cut of 'x' in this compiled space; "
+        "compile the comparison as part of the model"
+    )
+    with pytest.raises(ValueError) as exc:
+        Dimension("rank", ("A", "K")).compare("<", Fraction(3))
+    assert str(exc.value) == "'rank' has no numeric order to compare against"
 
 
 # -- scaled spaces ---------------------------------------------------------------
@@ -296,3 +364,12 @@ def test_tautology_is_shared(bundle):
     space, a, b = bundle
     assert (a | ~a) == (b | ~b) == space.top
     assert (a & ~a) == (b & ~b) == space.bottom
+
+
+# -- the package docstring ---------------------------------------------------------
+
+
+def test_package_docstring_example_runs():
+    result = doctest.testmod(evidentia)
+    assert result.attempted >= 5
+    assert result.failed == 0
