@@ -15,13 +15,12 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import suites
 from .dsl.ast import dump_tree
-from .dsl.compiler import CompiledModel, compile_model
+from .dsl.compiler import compile_model
 from .dsl.diagnostics import ModelError
 from .dsl.parser import parse_model
 from .evidence import LogOdds, Odds
-from .hyperrational import Hyperrational, MagnitudeClass, decimal_approximation
+from .hyperrational import MagnitudeClass, decimal_approximation
 
 _APPROXIMABLE = (MagnitudeClass.APPRECIABLE, MagnitudeClass.ZERO)
 #: Largest ``--digits``; the time of an ``L`` query grows faster than this.
@@ -52,49 +51,27 @@ class OutputRecord:
         return payload
 
 
-def _scalar(value: Hyperrational, digits: int):
-    magnitude = value.magnitude()
-    approx = (
-        decimal_approximation(value, digits) if magnitude in _APPROXIMABLE else None
-    )
-    return str(value), approx, str(magnitude)
-
-
 def _record(query, result, digits: int) -> OutputRecord:
-    if isinstance(result, Hyperrational):
-        exact, approx, magnitude = _scalar(result, digits)
-        return OutputRecord(query.text, query.kind, exact, approx, magnitude, query.provenance)
-    if isinstance(result, Odds):
-        if result.is_infinite:
-            return OutputRecord(
-                query.text, query.kind, "infinite-odds", None, "infinite", query.provenance
-            )
-        exact, approx, magnitude = _scalar(result.ratio, digits)
-        return OutputRecord(query.text, query.kind, exact, approx, magnitude, query.provenance)
-    if isinstance(result, LogOdds):
-        return OutputRecord(
-            query.text,
-            query.kind,
-            str(result.odds),
-            result.approx,
-            str(result.odds.magnitude()),
-            query.provenance,
-        )
-    if isinstance(result, list):  # table rows
-        blocks = []
-        for name, value in result:
-            blocks.append(
-                {
-                    "name": name,
-                    "exact": str(value),
-                    "approx": decimal_approximation(value, digits),
-                }
-            )
-        joined = "; ".join(f"{b['name']}: {b['exact']}" for b in blocks)
-        return OutputRecord(
-            query.text, query.kind, joined, None, None, query.provenance, blocks
-        )
-    raise TypeError(f"unexpected query result {result!r}")
+    """The record of one query's result: a :class:`Hyperrational`,
+    :class:`Odds`, :class:`LogOdds` or a table's ``(name, value)`` rows."""
+    approx = magnitude = blocks = None
+    if isinstance(result, list):
+        blocks = [
+            {"name": name, "exact": str(value), "approx": decimal_approximation(value, digits)}
+            for name, value in result
+        ]
+        exact = "; ".join(f"{b['name']}: {b['exact']}" for b in blocks)
+    elif isinstance(result, Odds) and result.is_infinite:
+        exact, magnitude = "infinite-odds", "infinite"
+    elif isinstance(result, LogOdds):
+        exact, approx, magnitude = str(result.odds), result.approx, str(result.odds.magnitude())
+    else:
+        value = result.ratio if isinstance(result, Odds) else result
+        magnitude = value.magnitude()
+        if magnitude in _APPROXIMABLE:
+            approx = decimal_approximation(value, digits)
+        exact, magnitude = str(value), str(magnitude)
+    return OutputRecord(query.text, query.kind, exact, approx, magnitude, query.provenance, blocks)
 
 
 def _text_lines(record: OutputRecord) -> list[str]:
@@ -126,25 +103,27 @@ def _read_source(path: str) -> str | None:
     return None
 
 
-def _load_compiled(path: str, scaled: bool) -> CompiledModel | None:
+def _load(path: str, build=lambda model: model):
+    """``build`` applied to the model parsed from ``path``, and exit code 0;
+    or, with the problem printed, ``None`` and exit code 2 when the file
+    cannot be read, 1 when parsing or ``build`` raises a :class:`ModelError`."""
     source = _read_source(path)
     if source is None:
-        return None
-    model = parse_model(source, filename=path)
-    return compile_model(model, scaled=scaled)
+        return None, 2
+    try:
+        return build(parse_model(source, filename=path)), 0
+    except ModelError as exc:
+        print(exc.render(path), file=sys.stderr)
+        return None, 1
 
 
 def _cmd_eval(args) -> int:
     if args.digits > MAX_DIGITS:
         print(f"error: --digits must be at most {MAX_DIGITS}", file=sys.stderr)
         return 2
-    try:
-        compiled = _load_compiled(args.file, args.scaled)
-    except ModelError as exc:
-        print(exc.render(args.file), file=sys.stderr)
-        return 1
-    if compiled is None:
-        return 2
+    compiled, code = _load(args.file, lambda model: compile_model(model, scaled=args.scaled))
+    if code:
+        return code
     records = []
     had_errors = False
     for query in compiled.queries:
@@ -164,12 +143,12 @@ def _cmd_eval(args) -> int:
     return 1 if had_errors else 0
 
 
-def _resolve_seed(args) -> int | None:
+def _resolve_seed(args, default: int) -> int | None:
     if args.seed is not None:
         return args.seed
     raw = os.environ.get("EVIDENTIA_SEED")
     if raw is None:
-        return suites.DEFAULT_SEED
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -178,19 +157,17 @@ def _resolve_seed(args) -> int | None:
 
 
 def _cmd_check(args) -> int:
-    seed = _resolve_seed(args)
+    from . import suites
+
+    seed = _resolve_seed(args, suites.DEFAULT_SEED)
     if seed is None:
         return 1
     extra_models = []
     if args.file:
-        try:
-            source = _read_source(args.file)
-            if source is None:
-                return 2
-            extra_models.append((args.file, parse_model(source, filename=args.file)))
-        except ModelError as exc:
-            print(exc.render(args.file), file=sys.stderr)
-            return 1
+        model, code = _load(args.file)
+        if code:
+            return code
+        extra_models.append((args.file, model))
     if args.instances == 0:
         print("warning: --instances 0 requested; nothing was checked")
         print(f"seed: {seed}")
@@ -203,17 +180,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_parse(args) -> int:
-    source = _read_source(args.file)
-    if source is None:
-        return 2
-    try:
-        model = parse_model(source, filename=args.file)
-    except ModelError as exc:
-        print(exc.render(args.file), file=sys.stderr)
-        return 1
-    if args.dump_ast:
+    model, code = _load(args.file)
+    if not code and args.dump_ast:
         print(dump_tree(model), end="")
-    return 0
+    return code
 
 
 def non_negative_int(text: str) -> int:

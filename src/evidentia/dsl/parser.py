@@ -16,13 +16,16 @@ is converted, and a predicate nested more than
 printers recurse once per level.
 
 The two places a label list belongs (``dimension X = {...}`` and
-``X in {...}``) take a list the lexer read whole as one token: the labels
-come from one regular-expression call, :meth:`dict.fromkeys` orders them and
-drops repeats, and one subset test checks them against the declaration.
-Per-label tokens are built only for a diagnostic that needs their spans.  A
-list token met anywhere else is expanded back into the tokens it stands for
-before the parser looks at it, so messages and recovery are those of the
-token-by-token scan.
+``X in {...}``) share one reader, :meth:`_Parser.parse_label_list`.  A list
+the lexer read whole as one token gives its labels from one
+regular-expression call, :meth:`dict.fromkeys` orders them and drops
+repeats, and one cheap test (for repeats, or a subset test against the
+declaration) tells whether any label needs a diagnostic.  Only then is the
+token split into the tokens it stands for, which are read one at a time,
+each label checked as it is read, as is every list the lexer did not read
+whole.  A list token met anywhere else is expanded back into the tokens it
+stands for before the parser looks at it, so messages and recovery are
+those of the token-by-token scan.
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ def _join(first: SourceSpan | Token, last: SourceSpan | Token) -> SourceSpan:
     """The span from the start of ``first`` to the end of ``last``, each a
     span or a token."""
     return SourceSpan(first.start, last.end, first.line, first.column)
-
-
-def _label_tokens(listed: Token) -> list[Token]:
-    return [tok for tok in expand(listed) if tok.kind in LABEL_KINDS]
 
 
 class _Parser:
@@ -211,36 +210,47 @@ class _Parser:
         self.error(f"expected a label, found {self._found()}")
         raise _Resync
 
+    def parse_label_list(self, report, clean) -> tuple[tuple[str, ...], Token]:
+        """A braced label list: its labels in order without repeats, and its
+        closing token (the list token itself when it is not split).
+
+        ``report(token, seen)`` checks each label token as it is read
+        against the labels before it.  A list token is split into the
+        tokens it stands for, and read as they are, only when
+        ``clean(labels, count)`` is false: a cheap test over the list's
+        labels without repeats and its number of labels that no report is
+        due.  A false test costs only the split."""
+        if self.at(LIST):
+            texts = list_labels(self.peek())
+            labels = dict.fromkeys(texts)
+            if clean(labels, len(texts)):
+                return tuple(labels), self.advance()
+            self._expand()
+        self.expect("{", "'{'")
+        # A dict keeps the labels in order and tests membership by hash.
+        labels = {}
+        while True:
+            label_tok = self.parse_label()
+            report(label_tok, labels)
+            labels[label_tok.text] = None
+            if not self.at(","):
+                return tuple(labels), self.expect("}", "',' or '}'")
+            self.advance()
+
     def parse_dimension(self) -> ast.DimensionDecl:
         start = self.advance().span
         name = self.expect(IDENT, "a dimension name").text
         self.expect("=", "'='")
-        if self.at(LIST):
-            listed = self.advance()
-            texts = list_labels(listed)
-            labels = dict.fromkeys(texts)
-            if len(labels) < len(texts):
-                seen = set()
-                for label_tok in _label_tokens(listed):
-                    if label_tok.text in seen:
-                        self._duplicate_label(label_tok, name)
-                    seen.add(label_tok.text)
-            return ast.DimensionDecl(name, tuple(labels), _join(start, listed))
-        self.expect("{", "'{'")
-        # A dict keeps the labels in order and tests membership by hash.
-        labels = {self.parse_label().text: None}
-        while self.at(","):
-            self.advance()
-            label_tok = self.parse_label()
-            if label_tok.text in labels:
-                self._duplicate_label(label_tok, name)
-            else:
-                labels[label_tok.text] = None
-        closing = self.expect("}", "',' or '}'")
-        return ast.DimensionDecl(name, tuple(labels), _join(start, closing))
 
-    def _duplicate_label(self, label_tok: Token, name: str):
-        self.error(f"duplicate label {label_tok.text!r} in dimension {name!r}", label_tok.span)
+        def repeated(label_tok: Token, seen: dict[str, None]):
+            if label_tok.text in seen:
+                message = f"duplicate label {label_tok.text!r} in dimension {name!r}"
+                self.error(message, label_tok.span)
+
+        labels, closing = self.parse_label_list(
+            repeated, lambda labels, count: len(labels) == count
+        )
+        return ast.DimensionDecl(name, labels, _join(start, closing))
 
     def _number(self, what: str) -> tuple[Fraction, Token]:
         tok = self.expect(NUMBER, what)
@@ -411,17 +421,6 @@ class _Parser:
                 label_tok.span,
             )
 
-    def _label_in(self, name_tok: Token, decl, listed: Token) -> ast.LabelIn:
-        """``name in {...}`` from a list token."""
-        labels = dict.fromkeys(list_labels(listed))
-        if isinstance(decl, ast.ContinuumDecl) or (
-            isinstance(decl, ast.DimensionDecl)
-            and not labels.keys() <= self.label_sets[decl.name]
-        ):
-            for label_tok in _label_tokens(listed):
-                self._check_label(decl, label_tok, name_tok.text)
-        return ast.LabelIn(name_tok.text, tuple(labels), _join(name_tok, listed))
-
     def parse_atom(self, level: int) -> tuple[ast.Predicate, int]:
         if self.at("("):
             self._open(level)
@@ -443,22 +442,13 @@ class _Parser:
                 return ast.LabelIs(name_tok.text, label_tok.text, span), 0
             if self.at_keyword("in"):
                 self.advance()
-                if self.at(LIST):
-                    return self._label_in(name_tok, decl, self.advance()), 0
-                self.expect("{", "'{'")
-                # Repeated members are dropped; the dict keeps the first.
-                labels = {}
-                label_tok = self.parse_label()
-                self._check_label(decl, label_tok, name_tok.text)
-                labels[label_tok.text] = None
-                while self.at(","):
-                    self.advance()
-                    label_tok = self.parse_label()
-                    self._check_label(decl, label_tok, name_tok.text)
-                    labels[label_tok.text] = None
-                closing = self.expect("}", "',' or '}'")
-                span = _join(name_tok, closing)
-                return ast.LabelIn(name_tok.text, tuple(labels), span), 0
+                # Repeated members are dropped; the first is kept.
+                labels, closing = self.parse_label_list(
+                    lambda label_tok, seen: self._check_label(decl, label_tok, name_tok.text),
+                    lambda labels, count: isinstance(decl, ast.DimensionDecl)
+                    and labels.keys() <= self.label_sets[decl.name],
+                )
+                return ast.LabelIn(name_tok.text, labels, _join(name_tok, closing)), 0
             for op in _COMPARE_OPS:
                 if self.at(op):
                     self.advance()

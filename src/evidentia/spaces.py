@@ -96,12 +96,6 @@ class Dimension:
         """Number of atoms along this axis."""
         return len(self.labels) if self.weights is None else self.offsets[-1]
 
-    def atoms_of(self, label: int) -> range:
-        """The atoms along this axis that label index ``label`` covers."""
-        if self.weights is None:
-            return range(label, label + 1)
-        return range(self.offsets[label], self.offsets[label + 1])
-
     def atom_label(self, atom: int) -> str:
         """Label of one atom: its own label, or in a weighted dimension its
         tranche ``[lo,hi)`` computed from the grid."""
@@ -360,7 +354,7 @@ class PossibilitySpace:
             while sub and len(out) < limit:
                 j = ((sub & -sub).bit_length() - 1) // stride
                 tails = walk(k + 1, (sub >> (j * stride)) & ((1 << stride) - 1))
-                for atom in dim.atoms_of(j):
+                for atom in range(dim.offsets[j], dim.offsets[j + 1]):
                     label = dim.atom_label(atom)
                     out.extend((label,) + tail for tail in tails)
                     if len(out) >= limit:

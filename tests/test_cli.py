@@ -75,6 +75,26 @@ def test_eval_scaled_coin_matches_golden(capsys, fixture_path):
     assert "1/aleph (infinitesimal)" in out
 
 
+@pytest.mark.parametrize(
+    "golden, flags",
+    [
+        ("records_eval.txt", []),
+        ("records_eval_scaled.txt", ["--scaled"]),
+        ("records_eval.json", ["--format", "json"]),
+        ("records_eval_scaled.json", ["--scaled", "--format", "json"]),
+    ],
+)
+def test_eval_every_record_shape_matches_golden(capsys, golden, flags):
+    # Infinite and zero odds, a log of odds, E, atomic, a conditional and a
+    # table; scaled, E(true) is infinite and atomic infinitesimal.  L(false)
+    # fails to evaluate, which is reported and makes the exit code 1.
+    path = str(DATA / "records.evd")
+    code, out, err = run(capsys, "eval", path, *flags)
+    assert out == (DATA / golden).read_text(encoding="utf-8")
+    assert err == f"{path}: error: L(false): log-odds undefined: the proposition has zero evidence\n"
+    assert code == 1
+
+
 def test_eval_json_validates_against_shipped_schema(capsys, fixture_path):
     schema = json.loads(
         (resources.files("evidentia") / "schema" / "output-v1.schema.json").read_text()
@@ -230,6 +250,21 @@ def test_parse_empty_file_reports_empty_model(capsys, tmp_path):
 
 def test_parse_missing_file_is_io_error(capsys):
     assert run(capsys, "parse", "nope.evd")[0] == 2
+
+
+def test_parse_does_not_import_the_suites(fixture_path):
+    # Only `check` needs the verification suites; `parse` and `eval` skip
+    # their import.
+    package_root = str(Path(evidentia.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {package_root!r})\n"
+        "from evidentia import cli\n"
+        f"assert cli.main(['parse', {fixture_path('deck')!r}]) == 0\n"
+        "print('evidentia.suites' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 # -- check ----------------------------------------------------------------------

@@ -231,6 +231,56 @@ def test_diagnostic_rendering_golden():
     assert rendered == "bad.evd:2:14: error: unknown label 'Z' for dimension 'r'"
 
 
+_LISTS_HEAD = 'model "m" {\n  dimension d = {a, b}\n  continuum t from 0 to 1 tranches 4\n}\n'
+
+
+# Label lists the parser refuses, read whole as one token or token by token
+# (a trailing comma or a non-ASCII label keeps the lexer from reading the
+# list whole): every diagnostic, in order, as rendered.
+@pytest.mark.parametrize(
+    "source, rendered",
+    [
+        (
+            'model "m" { dimension x = {a, a, } }',
+            "m.evd:1:31: error: duplicate label 'a' in dimension 'x'\n"
+            "m.evd:1:34: error: expected a label, found '}'\n"
+            "m.evd:1:36: error: expected 'query' or end of input, found '}'",
+        ),
+        (
+            'model "m" { dimension x = {a, b, a, "b"} }',
+            "m.evd:1:34: error: duplicate label 'a' in dimension 'x'\n"
+            "m.evd:1:37: error: duplicate label 'b' in dimension 'x'",
+        ),
+        (
+            _LISTS_HEAD + "query P(d in {z, })",
+            "m.evd:5:15: error: unknown label 'z' for dimension 'd'\n"
+            "m.evd:5:18: error: expected 'query' or end of input, found '}'\n"
+            "m.evd:5:18: error: expected a label, found '}'",
+        ),
+        (
+            _LISTS_HEAD + "query P(t in {a, é})",
+            "m.evd:5:15: error: continuum 't' has no labels to match; use an ordering comparison\n"
+            "m.evd:5:18: error: continuum 't' has no labels to match; use an ordering comparison",
+        ),
+        (
+            _LISTS_HEAD + "query P(t in {a, 2})",
+            "m.evd:5:15: error: continuum 't' has no labels to match; use an ordering comparison\n"
+            "m.evd:5:18: error: continuum 't' has no labels to match; use an ordering comparison",
+        ),
+        (_LISTS_HEAD + "query P(d in {é, a, a})", "m.evd:5:15: error: unknown label 'é' for dimension 'd'"),
+        (
+            _LISTS_HEAD + "query P(d in {z, a,\n  y})",
+            "m.evd:5:15: error: unknown label 'z' for dimension 'd'\n"
+            "m.evd:6:3: error: unknown label 'y' for dimension 'd'",
+        ),
+    ],
+)
+def test_refused_label_list_diagnostics(source, rendered):
+    with pytest.raises(ModelError) as err:
+        parse_model(source, filename="m.evd")
+    assert err.value.render("m.evd") == rendered
+
+
 # -- scale ---------------------------------------------------------------------------
 
 
