@@ -68,17 +68,21 @@ class NotPred(Predicate):
 
 
 @dataclass(frozen=True)
-class AndPred(Predicate):
-    left: Predicate
-    right: Predicate
+class _Chain(Predicate):
+    operands: tuple[Predicate, ...]
     span: SourceSpan = _span_field()
 
+    def __post_init__(self):
+        if not isinstance(self.operands, tuple) or len(self.operands) < 2:
+            raise ValueError(f"{type(self).__name__} needs a tuple of two or more operands")
 
-@dataclass(frozen=True)
-class OrPred(Predicate):
-    left: Predicate
-    right: Predicate
-    span: SourceSpan = _span_field()
+
+class AndPred(_Chain):
+    """``a and b and ...``: one node per chain."""
+
+
+class OrPred(_Chain):
+    """``a or b or ...``: one node per chain."""
 
 
 @dataclass(frozen=True)
@@ -180,12 +184,10 @@ def render_predicate(pred: Predicate, parent_level: int = 0) -> str:
     if isinstance(pred, NotPred):
         text = f"not {render_predicate(pred.operand, 3)}"
         level = 3
-    elif isinstance(pred, AndPred):
-        text = f"{render_predicate(pred.left, 2)} and {render_predicate(pred.right, 3)}"
-        level = 2
-    elif isinstance(pred, OrPred):
-        text = f"{render_predicate(pred.left, 1)} or {render_predicate(pred.right, 2)}"
-        level = 1
+    elif isinstance(pred, _Chain):
+        level, word = (2, " and ") if isinstance(pred, AndPred) else (1, " or ")
+        rest = [render_predicate(p, level + 1) for p in pred.operands[1:]]
+        text = word.join([render_predicate(pred.operands[0], level), *rest])
     else:
         raise TypeError(f"not a predicate node: {pred!r}")
     return f"({text})" if level < parent_level else text

@@ -23,6 +23,7 @@ time; evaluation itself is deferred behind :class:`PreparedQuery`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 from ..evidence import (
@@ -92,8 +93,8 @@ def _thresholds(pred: ast.Predicate | None, out: dict[str, set]) -> None:
     elif isinstance(pred, ast.NotPred):
         _thresholds(pred.operand, out)
     elif isinstance(pred, (ast.AndPred, ast.OrPred)):
-        _thresholds(pred.left, out)
-        _thresholds(pred.right, out)
+        for part in pred.operands:
+            _thresholds(part, out)
 
 
 def _dimension(decl: ast.DimensionDecl | ast.ContinuumDecl, thresholds) -> Dimension:
@@ -121,10 +122,9 @@ def _lower(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
         return space.bottom
     if isinstance(pred, ast.NotPred):
         return ~_lower(space, pred.operand)
-    if isinstance(pred, ast.AndPred):
-        return _lower(space, pred.left) & _lower(space, pred.right)
-    if isinstance(pred, ast.OrPred):
-        return _lower(space, pred.left) | _lower(space, pred.right)
+    if isinstance(pred, (ast.AndPred, ast.OrPred)):
+        join = int.__and__ if isinstance(pred, ast.AndPred) else int.__or__
+        return Proposition(space, reduce(join, [_lower(space, p).mask for p in pred.operands]))
     if isinstance(pred, (ast.LabelIs, ast.LabelIn)):
         dim = _find_dimension(space, pred.dimension, pred.span)
         names = (pred.label,) if isinstance(pred, ast.LabelIs) else pred.labels

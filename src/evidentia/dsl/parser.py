@@ -13,7 +13,9 @@ Inputs that later stages could not handle are diagnostics too: a number
 literal of more than :data:`MAX_NUMBER_DIGITS` digits, checked before it
 is converted, and a predicate nested more than
 :data:`MAX_PREDICATE_DEPTH` levels deep, since the compiler and the
-printers recurse once per level.
+printers recurse once per level.  Only parentheses and ``not`` nest: a
+chain of ``and`` (or of ``or``) terms is one node, and one level, however
+long it is.
 
 The two places a label list belongs (``dimension X = {...}`` and
 ``X in {...}``) share one reader, :meth:`_Parser.parse_label_list`.  A list
@@ -40,12 +42,11 @@ _QUERY_KINDS = ("P", "O", "L", "E")
 _COMPARE_OPS = ("<", "<=", ">", ">=")
 _STATEMENT_STARTS = ("dimension", "continuum", "partition", "query")
 
-#: Deepest predicate accepted; each parenthesis level, ``not``, ``and`` and
-#: ``or`` counts as one level (a chain of n ``and`` terms is n - 1 deep).
+#: Deepest predicate accepted; each parenthesis level and each ``not``
+#: counts as one level, and a chain of ``and`` or ``or`` terms as none.
 MAX_PREDICATE_DEPTH = 100
 #: Most digits a number literal may have; ``int`` refuses 4300.
 MAX_NUMBER_DIGITS = 1000
-_TOO_DEEP = f"predicate nests deeper than {MAX_PREDICATE_DEPTH} levels"
 
 
 class _Resync(Exception):
@@ -229,13 +230,20 @@ class _Parser:
         self.expect("{", "'{'")
         # A dict keeps the labels in order and tests membership by hash.
         labels = {}
-        while True:
-            label_tok = self.parse_label()
-            report(label_tok, labels)
-            labels[label_tok.text] = None
-            if not self.at(","):
-                return tuple(labels), self.expect("}", "',' or '}'")
-            self.advance()
+        try:
+            while True:
+                label_tok = self.parse_label()
+                report(label_tok, labels)
+                labels[label_tok.text] = None
+                if not self.at(","):
+                    return tuple(labels), self.expect("}", "',' or '}'")
+                self.advance()
+        except _Resync:
+            # Resume after the list's own '}', not at it as at a block's end.
+            self.synchronize()
+            if self.at("}"):
+                self.advance()
+            raise
 
     def parse_dimension(self) -> ast.DimensionDecl:
         start = self.advance().span
@@ -357,46 +365,39 @@ class _Parser:
 
     # -- predicates ------------------------------------------------------------
 
-    # Each rule below takes the number of '(' and 'not' enclosing it and
-    # returns its predicate with that predicate's depth.
-
-    def parse_predicate(self) -> ast.Predicate:
-        pred, depth = self.parse_or(0)
-        if depth > MAX_PREDICATE_DEPTH:
-            self.error(_TOO_DEEP, pred.span)
-        return pred
+    # Each rule below takes the number of '(' and 'not' enclosing it.
 
     def _open(self, level: int) -> Token:
         """Consume a '(' or 'not' that would nest ``level + 1`` deep; stop
         before recursing past the limit."""
         if level == MAX_PREDICATE_DEPTH:
-            self.error(_TOO_DEEP)
+            self.error(f"predicate nests deeper than {MAX_PREDICATE_DEPTH} levels")
             raise _Resync
         return self.advance()
 
-    def parse_or(self, level: int) -> tuple[ast.Predicate, int]:
-        left, depth = self.parse_and(level)
-        while self.at_keyword("or"):
+    def _chain(self, level: int, word: str, node, operand) -> ast.Predicate:
+        """``operand`` terms joined by ``word`` as one ``node``; a
+        parenthesised chain of the same kind in front joins it."""
+        first = operand(level)
+        if not self.at_keyword(word):
+            return first
+        parts = list(first.operands) if isinstance(first, node) else [first]
+        while self.at_keyword(word):
             self.advance()
-            right, right_depth = self.parse_and(level)
-            left = ast.OrPred(left, right, _join(left.span, right.span))
-            depth = max(depth, right_depth) + 1
-        return left, depth
+            parts.append(operand(level))
+        return node(tuple(parts), _join(first.span, parts[-1].span))
 
-    def parse_and(self, level: int) -> tuple[ast.Predicate, int]:
-        left, depth = self.parse_unary(level)
-        while self.at_keyword("and"):
-            self.advance()
-            right, right_depth = self.parse_unary(level)
-            left = ast.AndPred(left, right, _join(left.span, right.span))
-            depth = max(depth, right_depth) + 1
-        return left, depth
+    def parse_predicate(self, level: int = 0) -> ast.Predicate:
+        return self._chain(level, "or", ast.OrPred, self.parse_and)
 
-    def parse_unary(self, level: int) -> tuple[ast.Predicate, int]:
+    def parse_and(self, level: int) -> ast.Predicate:
+        return self._chain(level, "and", ast.AndPred, self.parse_unary)
+
+    def parse_unary(self, level: int) -> ast.Predicate:
         if self.at_keyword("not"):
             start = self._open(level).span
-            operand, depth = self.parse_unary(level + 1)
-            return ast.NotPred(operand, _join(start, operand.span)), depth + 1
+            operand = self.parse_unary(level + 1)
+            return ast.NotPred(operand, _join(start, operand.span))
         return self.parse_atom(level)
 
     def _declared(self, name_tok: Token):
@@ -421,16 +422,16 @@ class _Parser:
                 label_tok.span,
             )
 
-    def parse_atom(self, level: int) -> tuple[ast.Predicate, int]:
+    def parse_atom(self, level: int) -> ast.Predicate:
         if self.at("("):
             self._open(level)
-            inner, depth = self.parse_or(level + 1)
+            inner = self.parse_predicate(level + 1)
             self.expect(")", "')'")
-            return inner, depth + 1
+            return inner
         if self.at_keyword("true"):
-            return ast.TrueLiteral(self.advance().span), 0
+            return ast.TrueLiteral(self.advance().span)
         if self.at_keyword("false"):
-            return ast.FalseLiteral(self.advance().span), 0
+            return ast.FalseLiteral(self.advance().span)
         if self.at(IDENT):
             name_tok = self.advance()
             decl = self._declared(name_tok)
@@ -439,7 +440,7 @@ class _Parser:
                 label_tok = self.parse_label()
                 self._check_label(decl, label_tok, name_tok.text)
                 span = _join(name_tok, label_tok)
-                return ast.LabelIs(name_tok.text, label_tok.text, span), 0
+                return ast.LabelIs(name_tok.text, label_tok.text, span)
             if self.at_keyword("in"):
                 self.advance()
                 # Repeated members are dropped; the first is kept.
@@ -448,7 +449,7 @@ class _Parser:
                     lambda labels, count: isinstance(decl, ast.DimensionDecl)
                     and labels.keys() <= self.label_sets[decl.name],
                 )
-                return ast.LabelIn(name_tok.text, labels, _join(name_tok, closing)), 0
+                return ast.LabelIn(name_tok.text, labels, _join(name_tok, closing))
             for op in _COMPARE_OPS:
                 if self.at(op):
                     self.advance()
@@ -460,7 +461,7 @@ class _Parser:
                             name_tok.span,
                         )
                     span = _join(name_tok.span, value_tok.span)
-                    return ast.Comparison(name_tok.text, op, value, span), 0
+                    return ast.Comparison(name_tok.text, op, value, span)
             self.error(
                 f"expected '==', 'in' or a comparison after {name_tok.text!r}, "
                 f"found {self._found()}"

@@ -345,9 +345,7 @@ def _random_predicate(rng: random.Random, dims, depth: int = 2) -> ast.Predicate
         return ast.NotPred(_random_predicate(rng, dims, depth - 1))
     left = _random_predicate(rng, dims, depth - 1)
     right = _random_predicate(rng, dims, depth - 1)
-    if roll < 0.65:
-        return ast.AndPred(left, right)
-    return ast.OrPred(left, right)
+    return (ast.AndPred if roll < 0.65 else ast.OrPred)((left, right))
 
 
 _Bounds = Mapping[str, Mapping[str, tuple[Fraction, Fraction]]]
@@ -366,14 +364,18 @@ def oracle_predicate(
     if isinstance(pred, ast.NotPred):
         inner = oracle_predicate(pred.operand, bounds)
         return lambda atom: not inner(atom)
-    if isinstance(pred, ast.AndPred):
-        left = oracle_predicate(pred.left, bounds)
-        right = oracle_predicate(pred.right, bounds)
-        return lambda atom: left(atom) and right(atom)
-    if isinstance(pred, ast.OrPred):
-        left = oracle_predicate(pred.left, bounds)
-        right = oracle_predicate(pred.right, bounds)
-        return lambda atom: left(atom) or right(atom)
+    if isinstance(pred, (ast.AndPred, ast.OrPred)):
+        # One closure per chain: nested two-part closures recurse per term.
+        parts = [oracle_predicate(p, bounds) for p in pred.operands]
+        decisive = isinstance(pred, ast.OrPred)
+
+        def chain(atom):
+            for part in parts:
+                if part(atom) == decisive:
+                    return decisive
+            return not decisive
+
+        return chain
     if isinstance(pred, ast.LabelIs):
         name, label = pred.dimension, pred.label
         return lambda atom: atom[name] == label

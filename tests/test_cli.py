@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -69,10 +70,26 @@ def test_eval_deck_matches_golden(capsys, fixture_path):
 def test_eval_scaled_coin_matches_golden(capsys, fixture_path):
     code, out, err = run(capsys, "eval", fixture_path("coin"), "--scaled")
     assert code == 0 and err == ""
-    assert out == (DATA / "coin_scaled_eval.txt").read_text(encoding="utf-8")
+    assert out == (DATA / "coin_eval_scaled.txt").read_text(encoding="utf-8")
     assert "E(face == H) = aleph/2" in out
     assert "E(true) = aleph" in out
     assert "1/aleph (infinitesimal)" in out
+
+
+@pytest.mark.parametrize("name", ["coin", "deck", "dice", "quadrant", "quadrant_q"])
+@pytest.mark.parametrize(
+    "suffix, flags",
+    [
+        ("_eval.txt", []),
+        ("_eval_scaled.txt", ["--scaled"]),
+        ("_eval.json", ["--format", "json"]),
+        ("_eval_scaled.json", ["--scaled", "--format", "json"]),
+    ],
+)
+def test_eval_every_fixture_matches_golden(capsys, fixture_path, name, suffix, flags):
+    code, out, err = run(capsys, "eval", fixture_path(name), *flags)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{name}{suffix}").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -158,28 +175,45 @@ def test_digits_above_the_bound_is_a_usage_error(capsys, tmp_path):
     assert len(out.split(" = ")[1].split(" ")[0]) == len("-0.") + 1000
 
 
+# Each form with the column where its 101st level starts, or None for a
+# chain, which is one level however many terms it has.
 DEEP_FORMS = {
-    "parentheses": lambda n: "(" * n + "r == A" + ")" * n,
-    "not": lambda n: "not " * n + "r == A",
-    "and": lambda n: " and ".join(["r == A"] * (n + 1)),
-    "or": lambda n: " or ".join(["r == A"] * (n + 1)),
+    "parentheses": (lambda n: "(" * n + "r == A" + ")" * n, 9 + 100),
+    "not": (lambda n: "not " * n + "r == A", 9 + 4 * 100),
+    "and": (lambda n: " and ".join(["r == A"] * n), None),
+    "or": (lambda n: " or ".join(["r == A"] * n), None),
 }
 
 
 @pytest.mark.parametrize("form", sorted(DEEP_FORMS))
 def test_predicate_nesting_is_bounded(capsys, tmp_path, form):
+    write, column = DEEP_FORMS[form]
     model = tmp_path / "deep.evd"
-    for depth, expected in ((100, 0), (101, 1), (5000, 1)):
-        predicate = DEEP_FORMS[form](depth)
+    for depth in (100, 101, 5000):
         model.write_text(
-            f'model "x" {{ dimension r = {{A, B}} }}\nquery P({predicate})', encoding="utf-8"
+            f'model "x" {{ dimension r = {{A, B}} }}\nquery P({write(depth)})', encoding="utf-8"
         )
         code, out, err = run(capsys, "eval", str(model))
-        assert code == expected, (depth, err)
-        if expected:
-            assert "error: predicate nests deeper than 100 levels" in err
-        else:
+        if column is None or depth == 100:
+            assert (code, err) == (0, ""), depth
             assert " = 1/2 ≈ 0.500000  [Theorem 4]" in out
+        else:
+            assert code == 1, depth
+            assert err == f"{model}:2:{column}: error: predicate nests deeper than 100 levels\n"
+
+
+@pytest.mark.parametrize("word", ["and", "or"])
+def test_long_flat_chain_evaluates_in_bounded_time(capsys, tmp_path, word):
+    # 10^5 terms: one node, lowered in one loop over the operand masks.
+    model = tmp_path / "chain.evd"
+    predicate = f" {word} ".join(["r == A"] * 10**5)
+    model.write_text(f'model "x" {{ dimension r = {{A, B}} }}\nquery P({predicate})', encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "eval", str(model))
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert out.endswith(" = 1/2 ≈ 0.500000  [Theorem 4]\n")
+    assert elapsed < 20
 
 
 def test_number_literals_are_bounded_ascii_decimals(capsys, tmp_path):
@@ -312,6 +346,19 @@ def test_check_invalid_env_seed(capsys, monkeypatch):
 def test_check_with_extra_model(capsys, fixture_path):
     code, out, _ = run(capsys, "check", fixture_path("dice"), "--instances", "5")
     assert code == 0
+
+
+def test_check_with_a_long_chain(capsys, tmp_path):
+    # The oracle checks a 5000-term chain with one closure that loops over
+    # its parts; nested two-part closures overflowed the stack.
+    model = tmp_path / "chain.evd"
+    chain = " or ".join(f"r == {label}" for label in "ABAB" * 1250)
+    model.write_text(
+        f'model "x" {{ dimension r = {{A, B, C}} }}\nquery P({chain})', encoding="utf-8"
+    )
+    code, out, err = run(capsys, "check", str(model), "--instances", "1")
+    assert code == 0, err
+    assert "Traceback" not in err
 
 
 def test_check_corrupted_model_exits_1(capsys, tmp_path):

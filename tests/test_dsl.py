@@ -243,8 +243,7 @@ _LISTS_HEAD = 'model "m" {\n  dimension d = {a, b}\n  continuum t from 0 to 1 tr
         (
             'model "m" { dimension x = {a, a, } }',
             "m.evd:1:31: error: duplicate label 'a' in dimension 'x'\n"
-            "m.evd:1:34: error: expected a label, found '}'\n"
-            "m.evd:1:36: error: expected 'query' or end of input, found '}'",
+            "m.evd:1:34: error: expected a label, found '}'",
         ),
         (
             'model "m" { dimension x = {a, b, a, "b"} }',
@@ -254,8 +253,14 @@ _LISTS_HEAD = 'model "m" {\n  dimension d = {a, b}\n  continuum t from 0 to 1 tr
         (
             _LISTS_HEAD + "query P(d in {z, })",
             "m.evd:5:15: error: unknown label 'z' for dimension 'd'\n"
-            "m.evd:5:18: error: expected 'query' or end of input, found '}'\n"
             "m.evd:5:18: error: expected a label, found '}'",
+        ),
+        (
+            # Parsing resumes after the refused list's '}', so the next
+            # query's own error is reported too.
+            _LISTS_HEAD + "query P(d in {a b})\nquery P(d == y)",
+            "m.evd:5:17: error: expected ',' or '}', found 'b'\n"
+            "m.evd:6:14: error: unknown label 'y' for dimension 'd'",
         ),
         (
             _LISTS_HEAD + "query P(t in {a, é})",
@@ -415,7 +420,9 @@ def random_model(rng: random.Random) -> ast.Model:
         if roll < 0.25:
             return ast.NotPred(random_pred(depth - 1))
         left, right = random_pred(depth - 1), random_pred(depth - 1)
-        return ast.AndPred(left, right) if roll < 0.65 else ast.OrPred(left, right)
+        node = ast.AndPred if roll < 0.65 else ast.OrPred
+        # The parser flattens a same-kind chain in front into its parent.
+        return node((left.operands if isinstance(left, node) else (left,)) + (right,))
 
     partitions = []
     if rng.random() < 0.5 and any(
@@ -467,6 +474,36 @@ def test_non_ascii_digit_labels_round_trip(label):
     printed = ast.render_model(model)
     assert f'"{label}"' in printed
     assert parse_model(printed) == model, printed
+
+
+def test_a_chain_is_one_node():
+    head = 'model "m" { dimension d = {a, b, c} }\nquery P('
+    a, b, c = (ast.LabelIs("d", label) for label in "abc")
+
+    def parsed(text):
+        return parse_model(head + text + ")").queries[0].predicate
+
+    flat = ast.AndPred((a, b, c))
+    # A parenthesised chain in front joins a chain of its own kind; one
+    # behind stays a node of its own, and each prints as it was written.
+    assert parsed("d == a and d == b and d == c") == flat
+    assert parsed("(d == a and d == b) and d == c") == flat
+    assert parsed("d == a and (d == b and d == c)") == ast.AndPred((a, ast.AndPred((b, c))))
+    assert parsed("(d == a or d == b) or d == c") == ast.OrPred((a, b, c))
+    assert parsed("(d == a or d == b) and d == c") == ast.AndPred((ast.OrPred((a, b)), c))
+    for text in ("d == a and (d == b and d == c)", "(d == a or d == b) and d == c"):
+        assert ast.render_predicate(parsed(text)) == text
+
+
+@pytest.mark.parametrize("node", [ast.AndPred, ast.OrPred])
+def test_a_chain_needs_a_tuple_of_two_or_more_operands(node):
+    leaf = ast.TrueLiteral()
+    for operands in ((), (leaf,), [leaf, leaf]):
+        with pytest.raises(ValueError, match="needs a tuple of two or more operands"):
+            node(operands)
+    with pytest.raises(ValueError):
+        node(leaf, leaf)  # the operands as separate arguments
+    assert node((leaf, leaf)).operands == (leaf, leaf)
 
 
 def test_dump_tree_is_stable():

@@ -108,7 +108,9 @@ class ModelMaker:
         if roll < 0.55:
             return ast.NotPred(self.predicate(decls, depth - 1))
         left, right = self.predicate(decls, depth - 1), self.predicate(decls, depth - 1)
-        return ast.AndPred(left, right) if roll < 0.8 else ast.OrPred(left, right)
+        node = ast.AndPred if roll < 0.8 else ast.OrPred
+        # The parser flattens a same-kind chain in front into its parent.
+        return node((left.operands if isinstance(left, node) else (left,)) + (right,))
 
     def partition(self, decls, name):
         """Runs of one dimension, each block written as comparisons or a
@@ -127,7 +129,7 @@ class ModelMaker:
                 width = (decl.high - decl.low) / decl.tranches
                 below = ast.Comparison(decl.name, "<", decl.low + width * hi)
                 above = ast.Comparison(decl.name, ">=", decl.low + width * lo)
-                pred = ast.AndPred(above, below)
+                pred = ast.AndPred((above, below))
             else:
                 pred = ast.LabelIn(decl.name, decl.labels[lo:hi])
             if rng.random() < 0.1:
