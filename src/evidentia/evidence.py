@@ -56,15 +56,28 @@ def probability(prop: Proposition) -> Hyperrational:
 
 def conditional_probability(prop: Proposition, given: Proposition) -> Hyperrational:
     """E(A and B) / E(B): how much of the evidence for ``given`` also
-    carries ``prop``."""
-    if given.space is not prop.space:
+    carries ``prop``.
+
+    Evidence counts atoms, so on one space the ratio depends on the count
+    pair ``(|A and B|, |B|)`` alone: each space keeps the ratios it has
+    computed, by count pair.  A refusal is never kept: conditioning on a
+    proposition with no evidence, which is one with no atom (an atom's
+    evidence is positive), raises on every call."""
+    space = prop.space
+    if given.space is not space:
         raise ValueError("propositions belong to different spaces")
-    reference = evidence(given)
+    reference = given.count
     if not reference:
         raise ZeroDivisionError(
             "conditioning on impossibility: the reference proposition has zero evidence"
         )
-    return evidence(prop & given) / reference
+    meet = prop & given
+    known = space._conditionals
+    key = (meet.count, reference)
+    value = known.get(key)
+    if value is None:
+        value = known[key] = evidence(meet) / evidence(given)
+    return value
 
 
 def atomic_probability(space: PossibilitySpace) -> Hyperrational:
@@ -127,6 +140,8 @@ def log_odds(prop: Proposition, digits: int = 6, base: str = "e") -> LogOdds:
     appreciable odds: zero, infinite-odds, and infinitesimal or infinite
     ratios have no finite logarithm on the ordinary scale.
     """
+    if digits < 0:
+        raise ValueError("digits must be nonnegative")
     if str(base) not in ("e", "2", "10"):
         raise ValueError(f"unsupported log base {base!r}; choose 'e', '2' or '10'")
     o = odds(prop)
@@ -169,6 +184,10 @@ class CheckReport:
     skipped: bool = False
 
 
+#: The one report every passing product-rule pair shares: reports are frozen.
+_PRODUCT_RULE_HOLDS = CheckReport("product rule", True, "")
+
+
 def check_sum_rule(prop: Proposition) -> CheckReport:
     """E(T) = E(A) + E(not A), and the complementary fractions sum to 1."""
     total = evidence_top(prop.space)
@@ -196,7 +215,7 @@ def check_product_rule(prop: Proposition, given: Proposition) -> CheckReport:
     lhs = conditional_probability(prop, given)
     rhs = probability(prop & given) / probability(given)
     if lhs == rhs:
-        return CheckReport("product rule", True, "")
+        return _PRODUCT_RULE_HOLDS
     return CheckReport("product rule", False, f"P(A|B) = {lhs}; P(AB)/P(B) = {rhs}")
 
 

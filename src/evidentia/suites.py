@@ -18,7 +18,10 @@ order are the first pairs of each that a walk over all pairs meets.  The
 case count is the number of pairs decided, ``sum of 4^n``.  The full walk
 up to 6 atoms stays because it is the only part of the pass that puts
 every mask pair through ``&`` and ``count``, so it can catch a
-mask-dependent defect that no signature representative can.
+mask-dependent defect that no signature representative can.  The engine
+side of a pair, P(A|B), is computed once per signature per space (each
+space keeps it by count pair), while ``&``, ``count`` and the right-hand
+division P(AB)/P(B) still run for every pair, and no verdict is kept.
 """
 
 from __future__ import annotations

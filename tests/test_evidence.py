@@ -168,6 +168,15 @@ def test_log_odds_complementary_sum_is_zero():
     assert forward + backward == 0
 
 
+def test_log_odds_refuses_negative_digits_before_any_work():
+    space = build_finite_space([("u", [f"u{i}" for i in range(26)])])
+    one = space.proposition({0})  # odds 1/25, ln = -3.2189
+    assert log_odds(one, digits=0).approx == "-3"
+    for prop in (one, space.bottom):  # refused before the odds are asked
+        with pytest.raises(ValueError, match="^digits must be nonnegative$"):
+            log_odds(prop, digits=-1)
+
+
 def test_log_odds_undefined_cases():
     space = deck()
     with pytest.raises(ValueError, match="log-odds undefined"):
@@ -250,6 +259,35 @@ def test_conditioning_on_impossibility_is_an_error():
     space = deck()
     with pytest.raises(ZeroDivisionError, match="conditioning on impossibility"):
         conditional_probability(space.top, space.bottom)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_a_space_keeps_one_conditional_per_count_pair(monkeypatch, scaled):
+    # Each space keeps the conditionals it has computed, keyed by
+    # (|A and B|, |B|), and keeps them to itself; a refusal is never kept.
+    labels = [f"u{i}" for i in range(6)]
+    space = build_finite_space([("u", labels)])
+    twin = build_scaled_space(labels, name="u") if scaled else build_finite_space([("u", labels)])
+    divisions = []
+    real = Hyperrational.__truediv__
+
+    def counted(self, other):
+        divisions.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Hyperrational, "__truediv__", counted)
+    # two pairs of one signature: |A and B| = 1, |B| = 3
+    first = conditional_probability(Proposition(space, 0b000011), Proposition(space, 0b010101))
+    second = conditional_probability(Proposition(space, 0b100001), Proposition(space, 0b111000))
+    assert first == second == Hyperrational(1, 3)
+    assert len(divisions) == 1 and list(space._conditionals) == [(1, 3)]
+    own = conditional_probability(Proposition(twin, 0b000011), Proposition(twin, 0b010101))
+    assert own == Hyperrational(1, 3)
+    assert len(divisions) == 2 and list(twin._conditionals) == [(1, 3)]
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError, match="conditioning on impossibility"):
+            conditional_probability(space.top, space.bottom)
+    assert list(space._conditionals) == [(1, 3)]
 
 
 def test_conditioning_across_spaces_is_an_error():

@@ -100,8 +100,10 @@ def test_exhaustive_product_rule_checks_one_pair_per_count_signature(monkeypatch
 def test_exhaustive_product_rule_renders_nothing_and_multiplies_once_per_count(monkeypatch):
     """Every pair passes, so no side is rendered to text; evidence is kept
     per space and atom count, so a space of n atoms makes at most n + 1
-    multiplications."""
-    calls = {"__str__": 0, "__mul__": 0}
+    multiplications.  Each pair divides once, for its right-hand side: the
+    conditional is kept per space and count pair ``(|A and B|, |B|)`` and
+    the probability per space and atom count."""
+    calls = {"__str__": 0, "__mul__": 0, "__truediv__": 0}
     for name in calls:
         real = getattr(Hyperrational, name)
 
@@ -113,6 +115,13 @@ def test_exhaustive_product_rule_renders_nothing_and_multiplies_once_per_count(m
     assert suites.product_rule_exhaustive_suite(8).ok
     assert calls["__str__"] == 0
     assert calls["__mul__"] <= sum(n + 1 for n in range(1, 9))
+    divisions = 0
+    for n in range(1, 9):
+        # pairs with |B| > 0: every pair up to 6 atoms, then one per signature
+        pairs = 4**n - 2**n if n <= 6 else (n + 1) * (n + 2) // 2 - 1
+        signatures = n * (n + 3) // 2  # 0 <= |A and B| <= |B|, 1 <= |B| <= n
+        divisions += pairs + signatures + (n + 1)
+    assert calls["__truediv__"] <= divisions
 
 
 def _off_by_one(measure, when):
