@@ -20,11 +20,9 @@ from .dsl.compiler import compile_model
 from .dsl.diagnostics import ModelError
 from .dsl.parser import parse_model
 from .evidence import LogOdds, Odds
-from .hyperrational import MagnitudeClass, decimal_approximation
+from .hyperrational import MAX_DIGITS, MagnitudeClass, decimal_approximation
 
 _APPROXIMABLE = (MagnitudeClass.APPRECIABLE, MagnitudeClass.ZERO)
-#: Largest ``--digits``; the time of an ``L`` query grows faster than this.
-MAX_DIGITS = 1000
 
 
 @dataclass

@@ -18,7 +18,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hyperrational import Hyperrational, MagnitudeClass
+from .hyperrational import Hyperrational, MagnitudeClass, _check_digits
 from .spaces import PossibilitySpace, Proposition, StateSpacePartition
 
 
@@ -134,14 +134,14 @@ class LogOdds:
 
 
 def log_odds(prop: Proposition, digits: int = 6, base: str = "e") -> LogOdds:
-    """Logarithm of the odds, rounded half-even to ``digits`` places.
+    """Logarithm of the odds, rounded half-even to ``digits`` places, at
+    most ``hyperrational.MAX_DIGITS``.
 
     Natural log by default; bases "2" and "10" are accepted.  Requires
     appreciable odds: zero, infinite-odds, and infinitesimal or infinite
     ratios have no finite logarithm on the ordinary scale.
     """
-    if digits < 0:
-        raise ValueError("digits must be nonnegative")
+    _check_digits(digits)
     if str(base) not in ("e", "2", "10"):
         raise ValueError(f"unsupported log base {base!r}; choose 'e', '2' or '10'")
     o = odds(prop)

@@ -58,9 +58,11 @@ the program, it rejects any exponent, and any polynomial it would build
 along the way, of degree above :data:`MAX_PARSE_DEGREE` (64), nesting of
 ``(`` and unary ``-`` deeper than :data:`MAX_PARSE_DEPTH` (100), any run
 of more than :data:`MAX_PARSE_DIGITS` (1000) digits, any digit outside
-ASCII ``0``-``9``, and division by zero, each as a ``ValueError`` with
-its offset.  :func:`decimal_approximation` rounds the standard part
-half-even with one integer ``divmod``.
+ASCII ``0``-``9``, any coefficient it would build of more than
+:data:`MAX_PARSE_BITS` bits, and division by zero, each as a
+``ValueError`` with its offset.  :func:`decimal_approximation` rounds the
+standard part half-even with one integer ``divmod``, to at most
+:data:`MAX_DIGITS` places.
 
 Instances are immutable and safe to share between threads.
 """
@@ -94,6 +96,15 @@ MAX_PARSE_DEGREE = 64
 MAX_PARSE_DEPTH = 100
 #: Longest run of digits, in an integer or an exponent, that it converts.
 MAX_PARSE_DIGITS = 1000
+#: Most bits of any coefficient it would build along the way (about 3010
+#: decimal digits): every value it returns then prints, and approximates
+#: to :data:`MAX_DIGITS` places, within Python's 4300-digit limit on
+#: int-to-str conversion.
+MAX_PARSE_BITS = 10_000
+#: Most fractional digits :func:`decimal_approximation` and
+#: ``evidence.log_odds`` compute; the time of a logarithm grows much faster
+#: than its digit count.
+MAX_DIGITS = 1000
 
 # Polynomials are tuples of int coefficients, lowest degree first, with no
 # trailing zero coefficient; () is the zero polynomial.
@@ -456,7 +467,7 @@ class Hyperrational:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         if not o._num:
@@ -468,7 +479,7 @@ class Hyperrational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         if not o._num:
@@ -478,13 +489,13 @@ class Hyperrational:
         return _sum(self._num, self._den, _neg(o._num), o._den)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         if not (self._num and o._num):
@@ -496,7 +507,7 @@ class Hyperrational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         if not o._num:
@@ -508,7 +519,7 @@ class Hyperrational:
         return _product(self._num, self._den, o._den, o._num)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         return o / self
@@ -569,7 +580,7 @@ class Hyperrational:
         return _lead_sign(_cross_diff(self, other))
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         return self._num == o._num and self._den == o._den
@@ -590,25 +601,25 @@ class Hyperrational:
         return -2 if h == -1 else h
 
     def __lt__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         return self._diff_sign(o) < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         return self._diff_sign(o) <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         return self._diff_sign(o) > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is Hyperrational else self._coerce(other)
         if o is None:
             return NotImplemented
         return self._diff_sign(o) >= 0
@@ -681,6 +692,23 @@ def _sum_degree(a: Hyperrational, b: Hyperrational) -> int:
     return max(dn1 + dd2, dn2 + dd1, dd1 + dd2) - 2
 
 
+def _coefficient_bits(a: Hyperrational, b: Hyperrational) -> int:
+    # Bounds the bit length of every coefficient that a op b builds for op
+    # in + - * /: each sums at most two products of polynomials of at most
+    # MAX_PARSE_DEGREE + 1 terms, so under 2**8 products of a coefficient
+    # of a by one of b.
+    return sum(max(map(int.bit_length, v._num + v._den)) for v in (a, b)) + 8
+
+
+# The canonical a op b has coefficients of at most 144 bits more than a's
+# and b's together: the 8 above, plus at most 68 per side for a cancelled
+# factor, which Mignotte's bound keeps within 2**64 * sqrt(65) times its
+# multiple at degree 64.  A digit adds under 5 bits, so a value read from n
+# characters has coefficients of under 144*n bits, and no step within the
+# first _UNCHECKED_CHARS characters can pass MAX_PARSE_BITS.
+_UNCHECKED_CHARS = MAX_PARSE_BITS // 144
+
+
 class _Reader:
     """Tiny expression parser for the rendering syntax.
 
@@ -707,6 +735,14 @@ class _Reader:
         # Called before building a polynomial of this degree.
         if degree > MAX_PARSE_DEGREE:
             self._fail(f"degree {degree} is above the limit of {MAX_PARSE_DEGREE}")
+
+    def _check_bits(self, bits: int):
+        # Called before building coefficients of up to this many bits.
+        if bits > MAX_PARSE_BITS:
+            self._fail(
+                f"coefficients of up to {bits} bits are above the limit of "
+                f"{MAX_PARSE_BITS}"
+            )
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -736,6 +772,8 @@ class _Reader:
             start = self.pos
             rhs = operand()
             self._check_degree(degree(value, rhs))
+            if self.pos > _UNCHECKED_CHARS:
+                self._check_bits(_coefficient_bits(value, rhs))
             if op == "/" and not rhs:
                 self.pos = start
                 self._fail("division by zero")
@@ -797,6 +835,14 @@ _ZERO = _new((), _ONE)
 ALEPH = _new((0, 1), _ONE)
 
 
+def _check_digits(digits: int):
+    # Called before any work that computes ``digits`` fractional places.
+    if digits < 0:
+        raise ValueError("digits must be nonnegative")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits must be at most {MAX_DIGITS}")
+
+
 def decimal_approximation(value: Hyperrational, digits: int = 6) -> str:
     """Decimal string for the standard part, rounded half-even to `digits`
     fractional places.
@@ -804,8 +850,7 @@ def decimal_approximation(value: Hyperrational, digits: int = 6) -> str:
     Presentation only: the core never computes in floating point, and the
     returned string is an approximation of the exact value's standard part.
     """
-    if digits < 0:
-        raise ValueError("digits must be nonnegative")
+    _check_digits(digits)
     p, q = value._standard_terms()
     m, r = divmod(p * 10**digits, q)
     if 2 * r > q or (2 * r == q and m & 1):

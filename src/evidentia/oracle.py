@@ -5,13 +5,18 @@ product space, evaluate a plain predicate, and divide match count by total
 count with :class:`fractions.Fraction`.  Deliberately self-contained --
 stdlib only, no imports from the rest of the package -- so differential
 tests compare two genuinely separate computations.
+
+A walk hands every predicate one mapping from dimension name to label,
+updated in place from atom to atom, with its keys in dimension order.  It
+is valid only during the call: a predicate that needs an atom later must
+copy it, e.g. with ``dict(atom)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 Dimensions = Sequence[tuple[str, Sequence[str]]]
 Predicate = Callable[[Mapping[str, str]], bool]
@@ -30,21 +35,24 @@ def atom_count(dimensions: Dimensions) -> int:
     return total
 
 
-def iter_atoms(dimensions: Dimensions) -> Iterator[dict[str, str]]:
-    names = [name for name, _ in dimensions]
-    for combo in product(*(labels for _, labels in dimensions)):
-        yield dict(zip(names, combo))
-
-
 def _counts(dimensions: Dimensions, predicates: Sequence[Predicate]):
     total = atom_count(dimensions)
     if total > MAX_ATOMS:
         raise ValueError(f"{total} atoms exceeds the enumeration limit {MAX_ATOMS}")
+    # One mapping per walk, updated in place: the outer dimensions once per
+    # run of the last one, the last dimension once per atom.
+    names = [name for name, _ in dimensions]
+    last, last_labels = dimensions[-1]
+    atom = dict.fromkeys(names)
     hits = [0] * len(predicates)
-    for atom in iter_atoms(dimensions):
-        for i, predicate in enumerate(predicates):
-            if predicate(atom):
-                hits[i] += 1
+    indexed = tuple(enumerate(predicates))
+    for combo in product(*(labels for _, labels in dimensions[:-1])):
+        atom.update(zip(names, combo))
+        for label in last_labels:
+            atom[last] = label
+            for i, predicate in indexed:
+                if predicate(atom):
+                    hits[i] += 1
     return hits, total
 
 

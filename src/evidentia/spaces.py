@@ -55,9 +55,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, islice, product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -225,9 +225,12 @@ class PossibilitySpace:
             self._unit = Hyperrational(1)
             self._total = Hyperrational(size)
         self._full = (1 << cells) - 1
-        self._groups = tuple(
+        groups = tuple(
             self._weight_groups(k) for k, dim in enumerate(dims) if dim.weights
         )
+        # Atoms in the cells set in a mask: one per cell unless a dimension
+        # has weights.
+        self._count = partial(_weighted, groups=groups) if groups else int.bit_count
         self._evidence: dict[int, Hyperrational] = {}  # evidence.evidence's
         self._probabilities: dict[int, Hyperrational] = {}  # evidence.probability's
         # evidence.conditional_probability's, keyed by (|A and B|, |B|)
@@ -340,10 +343,6 @@ class PossibilitySpace:
             for b in range(max(weights).bit_length())
         )
 
-    def _count(self, mask: int) -> int:
-        """Atoms in the cells set in ``mask``."""
-        return _weighted(mask, self._groups) if self._groups else mask.bit_count()
-
     def _first_atoms(self, mask: int, limit: int) -> list[tuple[str, ...]]:
         """Labels of the first ``limit`` atoms, in row-major atom order, of
         the cells set in ``mask``.  The atoms of a label are consecutive, so
@@ -393,16 +392,41 @@ def _cells(mask: int) -> Iterator[int]:
     return (cell for cell, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
-@dataclass(frozen=True)
 class Proposition:
-    """A subset of one space's cells: bit ``i`` of ``mask`` holds cell ``i``."""
+    """A subset of one space's cells: bit ``i`` of ``mask`` holds cell ``i``.
 
-    space: PossibilitySpace
-    mask: int
+    Immutable: assigning or deleting ``space`` or ``mask`` raises
+    ``FrozenInstanceError``, an ``AttributeError``.  Two propositions are
+    equal when they hold the same cells of the same space object."""
+
+    __slots__ = ("space", "mask")
+
+    def __init__(self, space: PossibilitySpace, mask: int):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", mask)
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.mask < 0 or self.mask.bit_length() > self.space.cell_count:
+        if self.mask < 0 or self.mask.bit_length() > self.space._cells:
             raise ValueError("member ids fall outside the space")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which validates.
+        return self.__class__, (self.space, self.mask)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.space is other.space and self.mask == other.mask
+
+    def __hash__(self):
+        return hash((self.space, self.mask))
 
     @property
     def members(self) -> frozenset[int]:
@@ -414,20 +438,18 @@ class Proposition:
         """The number of atoms in the cells held."""
         return self.space._count(self.mask)
 
-    def _same_space(self, other: "Proposition"):
-        if other.space is not self.space:
-            raise ValueError("propositions belong to different spaces")
-
     def __and__(self, other):
         if not isinstance(other, Proposition):
             return NotImplemented
-        self._same_space(other)
+        if other.space is not self.space:
+            raise ValueError("propositions belong to different spaces")
         return Proposition(self.space, self.mask & other.mask)
 
     def __or__(self, other):
         if not isinstance(other, Proposition):
             return NotImplemented
-        self._same_space(other)
+        if other.space is not self.space:
+            raise ValueError("propositions belong to different spaces")
         return Proposition(self.space, self.mask | other.mask)
 
     def __invert__(self):

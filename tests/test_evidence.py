@@ -26,6 +26,7 @@ from evidentia import (
     probability,
 )
 from evidentia.dsl import compile_model, parse_model
+from evidentia.hyperrational import MAX_DIGITS
 
 RANKS = "A 2 3 4 5 6 7 8 9 10 J Q K".split()
 SUITS = ["clubs", "diamonds", "hearts", "spades"]
@@ -175,6 +176,18 @@ def test_log_odds_refuses_negative_digits_before_any_work():
     for prop in (one, space.bottom):  # refused before the odds are asked
         with pytest.raises(ValueError, match="^digits must be nonnegative$"):
             log_odds(prop, digits=-1)
+
+
+def test_log_odds_refuses_digits_past_the_limit_before_any_work():
+    # A logarithm's time grows about 100-fold per 4-fold digits (about 1 s
+    # at 3000), so the limit is checked before the odds are asked.
+    space = build_finite_space([("u", [f"u{i}" for i in range(26)])])
+    one = space.proposition({0})  # odds 1/25, ln = -3.2188758248...
+    assert log_odds(one, digits=MAX_DIGITS).approx.startswith("-3.2188758248")
+    for prop in (one, space.bottom):
+        for digits in (MAX_DIGITS + 1, 3000, 10**9):
+            with pytest.raises(ValueError, match=f"^digits must be at most {MAX_DIGITS}$"):
+                log_odds(prop, digits=digits)
 
 
 def test_log_odds_undefined_cases():

@@ -13,6 +13,8 @@ from evidentia import ALEPH, Hyperrational, MagnitudeClass, decimal_approximatio
 from evidentia import hyperrational
 from evidentia.evidence import check_product_rule, check_sum_rule
 from evidentia.hyperrational import (
+    MAX_DIGITS,
+    MAX_PARSE_BITS,
     MAX_PARSE_DEGREE,
     MAX_PARSE_DEPTH,
     MAX_PARSE_DIGITS,
@@ -340,6 +342,29 @@ def test_parse_bounds_digit_runs():
                 Hyperrational.parse(long)
 
 
+def test_parse_bounds_the_coefficients_it_builds():
+    # Whatever parse returns prints, and approximates to MAX_DIGITS places,
+    # within Python's 4300-digit limit on int-to-str conversion.
+    nines = "9" * MAX_PARSE_DIGITS
+    accepted = Hyperrational.parse("*".join([nines] * 3))
+    assert accepted == Hyperrational((10**MAX_PARSE_DIGITS - 1) ** 3)
+    assert str(accepted) == str((10**MAX_PARSE_DIGITS - 1) ** 3)
+    assert decimal_approximation(accepted, MAX_DIGITS) == f"{accepted}." + "0" * MAX_DIGITS
+    near_one = accepted / (accepted + 1)
+    assert decimal_approximation(near_one, 6) == "1.000000"
+    message = (
+        rf"^bad hyperrational literal at offset {{}}: coefficients of up to \d+ bits "
+        rf"are above the limit of {MAX_PARSE_BITS}$"
+    )
+    for text, offset in (
+        ("*".join([nines] * 5), 4003),
+        ("1/" + "/".join([nines] * 4), 4005),
+        ("*".join([f"({nines}*aleph + 1)"] * 4), 4051),
+    ):
+        with pytest.raises(ValueError, match=message.format(offset)):
+            Hyperrational.parse(text)
+
+
 def test_repr_round_trips():
     value = (3 * ALEPH + 5) / (4 * ALEPH + 1)
     assert eval(repr(value), {"Hyperrational": Hyperrational}) == value
@@ -355,6 +380,16 @@ def test_decimal_approximation_half_even():
     assert decimal_approximation(Hyperrational(0), 6) == "0.000000"
     assert decimal_approximation(Hyperrational(1, 8), 2) == "0.12"  # half-even
     assert decimal_approximation(Hyperrational(3, 8), 2) == "0.38"
+
+
+def test_decimal_approximation_refuses_digits_past_the_limit():
+    seventh = Hyperrational(1, 7)
+    text = decimal_approximation(seventh, MAX_DIGITS)
+    assert len(text) == MAX_DIGITS + 2 and text.startswith("0." + "142857" * 166)
+    for value in (seventh, ALEPH):  # refused before the standard part is asked
+        for digits in (MAX_DIGITS + 1, 16000, 10**9):
+            with pytest.raises(ValueError, match=f"^digits must be at most {MAX_DIGITS}$"):
+                decimal_approximation(value, digits)
 
 
 def test_decimal_approximation_of_infinitesimal_is_zero():

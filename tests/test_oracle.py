@@ -4,6 +4,7 @@ measure engine."""
 import ast as python_ast
 import inspect
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -78,3 +79,21 @@ def test_oracle_module_is_self_contained():
             assert node.level == 0, "oracle must not import from the package"
             imported.add(node.module)
     assert imported <= {"__future__", "fractions", "itertools", "typing"}
+
+
+@pytest.mark.parametrize(
+    "dimensions",
+    [[SUIT_DIM], [RANK_DIM, SUIT_DIM], [("a", ["x", "y"]), ("b", PIPS), ("c", ["p", "q", "r"])]],
+    ids=["one", "two", "three"],
+)
+def test_a_walk_shows_each_atom_once_in_row_major_order(dimensions):
+    seen = []
+
+    def record(atom):
+        seen.append(tuple(atom.items()))  # the mapping is valid during the call only
+        return atom[dimensions[-1][0]] == dimensions[-1][1][0]
+
+    result = oracle.probability(dimensions, record)
+    names = [name for name, _ in dimensions]
+    assert seen == [tuple(zip(names, combo)) for combo in product(*(labels for _, labels in dimensions))]
+    assert result == Fraction(1, len(dimensions[-1][1]))

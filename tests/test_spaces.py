@@ -1,6 +1,8 @@
 """Tests for space construction, the proposition algebra, and partitions."""
 
+import copy
 import doctest
+import pickle
 import time
 from fractions import Fraction
 
@@ -248,6 +250,40 @@ def test_member_ids_validated():
             Proposition(space, mask)
     assert space.proposition({0, 1}) == Proposition(space, 0b11) == space.top
     assert space.proposition({1}).members == frozenset({1})
+
+
+def test_propositions_are_immutable():
+    space = deck()
+    prop = Proposition(space, 0b101)
+    for name, value in (("space", deck()), ("mask", 0b11), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(prop, name, value)
+        with pytest.raises(AttributeError):
+            delattr(prop, name)
+    assert prop.space is space and prop.mask == 0b101
+
+
+def test_equality_and_hash_follow_space_and_mask():
+    space, twin = deck(), deck()
+    prop = Proposition(space, 0b101)
+    same = Proposition(space, 0b101)
+    assert prop == same and hash(prop) == hash(same) == hash((space, 0b101))
+    assert prop != Proposition(space, 0b100)
+    assert prop != Proposition(twin, 0b101)  # an equal mask of another space
+    assert prop != (space, 0b101) and prop.__eq__((space, 0b101)) is NotImplemented
+    assert len({prop, same, Proposition(twin, 0b101)}) == 2
+
+
+def test_propositions_survive_copy_and_pickle():
+    continuum = Dimension.continuum("x", Fraction(0), Fraction(10), 10, [Fraction(3)])
+    weighted = evidentia.PossibilitySpace([continuum, Dimension("y", ("a", "b"))])
+    for space in (deck(), weighted):
+        prop = Proposition(space, 0b1001)
+        assert copy.copy(prop) == prop and copy.copy(prop).space is space
+        twin_space, twin = pickle.loads(pickle.dumps((space, prop)))
+        assert twin.space is twin_space and twin.mask == prop.mask
+        assert twin.count == prop.count and repr(twin) == repr(prop)
+        assert (twin | ~twin) == twin_space.top
 
 
 # -- partitions ----------------------------------------------------------------------

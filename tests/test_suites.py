@@ -137,6 +137,15 @@ def _off_by_one(measure, when):
 measures = importlib.import_module("evidentia.evidence")
 compiler = importlib.import_module("evidentia.dsl.compiler")
 
+
+def _off_by_one_on_one_pair(prop, given, right=measures.conditional_probability):
+    """P(A|B), plus one for the single pair n=5, A=0b10110, B=0b01111: a
+    defect that depends on the masks, not on the counts, so no pair chosen
+    per count signature shows it and only the full walk up to 6 atoms does."""
+    wrong = (prop.space.size, prop.mask, given.mask) == (5, 0b10110, 0b01111)
+    return right(prop, given) + (1 if wrong else 0)
+
+
 BROKEN_LAWS = {
     "sum_rule": (
         measures, "evidence", _off_by_one(measures.evidence, lambda count: count == 3),
@@ -163,6 +172,11 @@ BROKEN_LAWS = {
         _off_by_one(measures.conditional_probability, lambda count: count == 7),
         lambda: suites.product_rule_exhaustive_suite(8),
         (16, 'n=7 A=0x0 B=0x7f: P(A|B) = 1; P(AB)/P(B) = 0'),
+    ),
+    "exhaustive_one_pair": (
+        measures, "conditional_probability", _off_by_one_on_one_pair,
+        lambda: suites.product_rule_exhaustive_suite(8),
+        (1, 'n=5 A=0x16 B=0xf: P(A|B) = 3/2; P(AB)/P(B) = 1/2'),
     ),
     "random_product": (
         measures, "conditional_probability",
