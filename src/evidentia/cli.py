@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .dsl.ast import dump_tree
 from .dsl.compiler import compile_model
@@ -25,33 +24,10 @@ from .hyperrational import MAX_DIGITS, MagnitudeClass, decimal_approximation
 _APPROXIMABLE = (MagnitudeClass.APPRECIABLE, MagnitudeClass.ZERO)
 
 
-@dataclass
-class OutputRecord:
-    query: str
-    kind: str
-    exact: str
-    approx: str | None
-    magnitude: str | None
-    provenance: str
-    blocks: list[dict[str, str]] | None = None
-
-    def to_json(self) -> dict:
-        payload = {
-            "query": self.query,
-            "kind": self.kind,
-            "exact": self.exact,
-            "approx": self.approx,
-            "magnitude": self.magnitude,
-            "provenance": self.provenance,
-        }
-        if self.blocks is not None:
-            payload["blocks"] = self.blocks
-        return payload
-
-
-def _record(query, result, digits: int) -> OutputRecord:
-    """The record of one query's result: a :class:`Hyperrational`,
-    :class:`Odds`, :class:`LogOdds` or a table's ``(name, value)`` rows."""
+def _record(query, result, digits: int) -> dict:
+    """The output-v1 record of one query's result: a :class:`Hyperrational`,
+    :class:`Odds`, :class:`LogOdds` or a table's ``(name, value)`` rows;
+    only a table's record has ``blocks``."""
     approx = magnitude = blocks = None
     if isinstance(result, list):
         blocks = [
@@ -69,24 +45,35 @@ def _record(query, result, digits: int) -> OutputRecord:
         if magnitude in _APPROXIMABLE:
             approx = decimal_approximation(value, digits)
         exact, magnitude = str(value), str(magnitude)
-    return OutputRecord(query.text, query.kind, exact, approx, magnitude, query.provenance, blocks)
+    record = {
+        "query": query.text,
+        "kind": query.kind,
+        "exact": exact,
+        "approx": approx,
+        "magnitude": magnitude,
+        "provenance": query.provenance,
+    }
+    if blocks is not None:
+        record["blocks"] = blocks
+    return record
 
 
-def _text_lines(record: OutputRecord) -> list[str]:
-    if record.kind == "table":
-        lines = [f"{record.query}  [{record.provenance}]"]
-        for block in record.blocks or []:
+def _text_lines(record: dict) -> list[str]:
+    tail = f"  [{record['provenance']}]"
+    if record["kind"] == "table":
+        lines = [record["query"] + tail]
+        for block in record["blocks"]:
             lines.append(f"  {block['name']} = {block['exact']} ≈ {block['approx']}")
         return lines
-    if record.kind == "L":
-        head = f"{record.query} = {record.approx} (log of odds {record.exact})"
+    if record["kind"] == "L":
+        head = f"{record['query']} = {record['approx']} (log of odds {record['exact']})"
     else:
-        head = f"{record.query} = {record.exact}"
-        if record.approx is not None:
-            head += f" ≈ {record.approx}"
-        if record.magnitude in ("infinite", "infinitesimal"):
-            head += f" ({record.magnitude})"
-    return [f"{head}  [{record.provenance}]"]
+        head = f"{record['query']} = {record['exact']}"
+        if record["approx"] is not None:
+            head += f" ≈ {record['approx']}"
+        if record["magnitude"] in ("infinite", "infinitesimal"):
+            head += f" ({record['magnitude']})"
+    return [head + tail]
 
 
 def _read_source(path: str) -> str | None:
@@ -133,7 +120,7 @@ def _cmd_eval(args) -> int:
             continue
         records.append(_record(query, result, args.digits))
     if args.format == "json":
-        print(json.dumps([r.to_json() for r in records], indent=2, ensure_ascii=False))
+        print(json.dumps(records, indent=2, ensure_ascii=False))
     else:
         for record in records:
             for line in _text_lines(record):

@@ -156,7 +156,10 @@ class _Parser:
         while True:
             if self.at_keyword("dimension") or self.at_keyword("continuum"):
                 try:
-                    decl = self.parse_declaration()
+                    if self.at_keyword("dimension"):
+                        decl = self.parse_dimension()
+                    else:
+                        decl = self.parse_continuum()
                 except _Resync:
                     self.synchronize()
                     continue
@@ -198,11 +201,6 @@ class _Parser:
             self.error(f"expected 'query' or end of input, found {self._found()}")
         span = _join(start_span, self.last or start_span)
         return ast.Model(name, tuple(declarations), tuple(partitions), tuple(queries), span)
-
-    def parse_declaration(self):
-        if self.at_keyword("dimension"):
-            return self.parse_dimension()
-        return self.parse_continuum()
 
     def parse_label(self) -> Token:
         tok = self.peek()

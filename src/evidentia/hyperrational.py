@@ -57,12 +57,15 @@ same syntax back, bit-exactly.  Because its text may come from outside
 the program, it rejects any exponent, and any polynomial it would build
 along the way, of degree above :data:`MAX_PARSE_DEGREE` (64), nesting of
 ``(`` and unary ``-`` deeper than :data:`MAX_PARSE_DEPTH` (100), any run
-of more than :data:`MAX_PARSE_DIGITS` (1000) digits, any digit outside
+of more than :data:`MAX_PARSE_DIGITS` (3010) digits, any digit outside
 ASCII ``0``-``9``, any coefficient it would build of more than
 :data:`MAX_PARSE_BITS` bits, and division by zero, each as a
-``ValueError`` with its offset.  :func:`decimal_approximation` rounds the
-standard part half-even with one integer ``divmod``, to at most
-:data:`MAX_DIGITS` places.
+``ValueError`` with its offset.  So a printed value does not read back
+when one of its own steps passes a limit: ``(aleph^32 + 1)/(aleph^64 +
+3)`` is refused with ``degree 96 is above the limit of 64``, as a
+quotient's bound adds the degrees of its two sides.
+:func:`decimal_approximation` rounds the standard part half-even with one
+integer ``divmod``, to at most :data:`MAX_DIGITS` places.
 
 Instances are immutable and safe to share between threads.
 """
@@ -70,7 +73,6 @@ Instances are immutable and safe to share between threads.
 from __future__ import annotations
 
 import operator
-import sys
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -94,13 +96,14 @@ MAX_PARSE_DEGREE = 64
 #: Deepest nesting of ``(`` and unary ``-`` that it accepts; it recurses
 #: once per level.
 MAX_PARSE_DEPTH = 100
-#: Longest run of digits, in an integer or an exponent, that it converts.
-MAX_PARSE_DIGITS = 1000
 #: Most bits of any coefficient it would build along the way (about 3010
 #: decimal digits): every value it returns then prints, and approximates
 #: to :data:`MAX_DIGITS` places, within Python's 4300-digit limit on
 #: int-to-str conversion.
 MAX_PARSE_BITS = 10_000
+#: Longest run of digits, in an integer or an exponent, that it converts:
+#: 3010, the longest run that always stays below ``2**MAX_PARSE_BITS``.
+MAX_PARSE_DIGITS = len(str(1 << MAX_PARSE_BITS)) - 1
 #: Most fractional digits :func:`decimal_approximation` and
 #: ``evidence.log_odds`` compute; the time of a logarithm grows much faster
 #: than its digit count.
@@ -191,7 +194,7 @@ def _poly_gcd(p, q):
     while b:
         a, b = b, _primitive(_pseudo_rem(a, b))
     if a[-1] < 0:
-        a = tuple(-c for c in a)
+        a = _neg(a)
     return a
 
 
@@ -352,6 +355,17 @@ def _lead_sign(p) -> int:
 def _cross_diff(a, b):
     # Numerator of a - b over the denominator a.den * b.den, not reduced.
     return _add(_mul(a._num, b._den), _neg(_mul(b._num, a._den)))
+
+
+def _order(compare):
+    # One body for <, <=, > and >=: compare(sign of self - other, 0).
+    def method(self, other):
+        o = other if type(other) is Hyperrational else self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return compare(self._diff_sign(o), 0)
+
+    return method
 
 
 class Hyperrational:
@@ -586,43 +600,15 @@ class Hyperrational:
         return self._num == o._num and self._den == o._den
 
     def __hash__(self):
-        # Equal to the hash of the equal int or Fraction, as == promises:
-        # CPython's hash rule for the rational n/d, on the canonical pair.
-        if not self.is_rational:
-            return hash((self._num, self._den))
-        n = self._num[0] if self._num else 0
-        try:
-            inverse = pow(self._den[0], -1, sys.hash_info.modulus)
-        except ValueError:  # the denominator is a multiple of the modulus
-            h = sys.hash_info.inf
-        else:
-            h = hash(hash(abs(n)) * inverse)
-        h = h if n >= 0 else -h
-        return -2 if h == -1 else h
+        # Equal to the hash of the equal int or Fraction, as == promises.
+        if self.is_rational:
+            return hash(self.as_fraction())
+        return hash((self._num, self._den))
 
-    def __lt__(self, other):
-        o = other if type(other) is Hyperrational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._diff_sign(o) < 0
-
-    def __le__(self, other):
-        o = other if type(other) is Hyperrational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._diff_sign(o) <= 0
-
-    def __gt__(self, other):
-        o = other if type(other) is Hyperrational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._diff_sign(o) > 0
-
-    def __ge__(self, other):
-        o = other if type(other) is Hyperrational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._diff_sign(o) >= 0
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     # -- text --------------------------------------------------------------
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, islice, product
@@ -392,41 +392,28 @@ def _cells(mask: int) -> Iterator[int]:
     return (cell for cell, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
+@dataclass(frozen=True)
 class Proposition:
     """A subset of one space's cells: bit ``i`` of ``mask`` holds cell ``i``.
 
-    Immutable: assigning or deleting ``space`` or ``mask`` raises
+    Immutable: assigning or deleting any attribute raises
     ``FrozenInstanceError``, an ``AttributeError``.  Two propositions are
     equal when they hold the same cells of the same space object."""
 
+    # Not slots=True: its generated __setattr__ calls super() on the class
+    # it replaces, so setting an unknown attribute raises TypeError.
     __slots__ = ("space", "mask")
 
-    def __init__(self, space: PossibilitySpace, mask: int):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mask", mask)
-        self.__post_init__()
+    space: PossibilitySpace
+    mask: int
 
     def __post_init__(self):
         if self.mask < 0 or self.mask.bit_length() > self.space._cells:
             raise ValueError("member ids fall outside the space")
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which validates.
         return self.__class__, (self.space, self.mask)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.space is other.space and self.mask == other.mask
-
-    def __hash__(self):
-        return hash((self.space, self.mask))
 
     @property
     def members(self) -> frozenset[int]:
@@ -483,7 +470,7 @@ def _describe_atoms(space: PossibilitySpace, mask: int, limit: int = 3) -> str:
 
 
 def make_partition(
-    space: PossibilitySpace, blocks: Sequence[tuple[str, Proposition]]
+    space: PossibilitySpace, blocks: Iterable[tuple[str, Proposition]]
 ) -> StateSpacePartition:
     """Validate and freeze a grouping of the space into named blocks.
 
@@ -491,6 +478,7 @@ def make_partition(
     uncovered atoms (non-exhaustiveness): the first three in row-major
     order and their total.
     """
+    blocks = tuple(blocks)
     if not blocks:
         raise ValueError("a partition needs at least one block")
     covered = 0
@@ -515,7 +503,7 @@ def make_partition(
             f"partition does not cover the space; uncovered: "
             f"{_describe_atoms(space, space._full ^ covered)}"
         )
-    return StateSpacePartition(space, tuple((name, prop) for name, prop in blocks))
+    return StateSpacePartition(space, blocks)
 
 
 def build_finite_space(

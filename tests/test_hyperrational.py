@@ -2,6 +2,7 @@
 magnitudes, rendering, and agreement with plain-rational substitution."""
 
 import decimal
+import operator
 import sys
 from fractions import Fraction
 from math import gcd
@@ -190,6 +191,13 @@ def test_total_order_is_antisymmetric():
     assert a < b and not b < a and a != b
 
 
+@pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_order_against_a_non_number_is_a_type_error(compare):
+    for left, right in ((Hyperrational(1), "x"), ("x", Hyperrational(1)), (ALEPH, None)):
+        with pytest.raises(TypeError, match="not supported between"):
+            compare(left, right)
+
+
 # -- magnitude and standard part -------------------------------------------------
 
 
@@ -345,10 +353,12 @@ def test_parse_bounds_digit_runs():
 def test_parse_bounds_the_coefficients_it_builds():
     # Whatever parse returns prints, and approximates to MAX_DIGITS places,
     # within Python's 4300-digit limit on int-to-str conversion.
-    nines = "9" * MAX_PARSE_DIGITS
+    # The offsets below are those of 1000-digit runs.
+    nines = "9" * 1000
     accepted = Hyperrational.parse("*".join([nines] * 3))
-    assert accepted == Hyperrational((10**MAX_PARSE_DIGITS - 1) ** 3)
-    assert str(accepted) == str((10**MAX_PARSE_DIGITS - 1) ** 3)
+    assert accepted == Hyperrational((10**1000 - 1) ** 3)
+    assert str(accepted) == str((10**1000 - 1) ** 3)
+    assert Hyperrational.parse(str(accepted)) == accepted
     assert decimal_approximation(accepted, MAX_DIGITS) == f"{accepted}." + "0" * MAX_DIGITS
     near_one = accepted / (accepted + 1)
     assert decimal_approximation(near_one, 6) == "1.000000"

@@ -1,6 +1,7 @@
 """Tests for space construction, the proposition algebra, and partitions."""
 
 import copy
+import dataclasses
 import doctest
 import pickle
 import time
@@ -263,6 +264,14 @@ def test_propositions_are_immutable():
     assert prop.space is space and prop.mask == 0b101
 
 
+def test_replace_validates_like_the_constructor():
+    space = build_finite_space([("x", ["a", "b"])])
+    prop = Proposition(space, 0b01)
+    assert dataclasses.replace(prop, mask=0b10) == Proposition(space, 0b10)
+    with pytest.raises(ValueError, match="outside the space"):
+        dataclasses.replace(prop, mask=1 << 60)
+
+
 def test_equality_and_hash_follow_space_and_mask():
     space, twin = deck(), deck()
     prop = Proposition(space, 0b101)
@@ -340,6 +349,19 @@ def test_non_exhaustive_partition_error_names_missing_cells():
 def test_empty_partition_rejected():
     with pytest.raises(ValueError):
         make_partition(deck(), [])
+
+
+def test_partition_reads_a_block_iterator_once():
+    space = build_finite_space([("x", ["a", "b", "c"])])
+    a = space.proposition({0})
+    partition = make_partition(space, (block for block in [("a", a), ("rest", ~a)]))
+    assert partition.blocks == (("a", a), ("rest", ~a))
+    overlapping = (block for block in [("a", a), ("again", a), ("rest", ~a)])
+    with pytest.raises(ValueError) as err:
+        make_partition(space, overlapping)
+    assert str(err.value) == "blocks 'a' and 'again' overlap on: a"
+    with pytest.raises(ValueError, match="at least one block"):
+        make_partition(space, iter(()))
 
 
 def test_partition_cardinalities_sum_exactly_when_scaled():
