@@ -10,6 +10,7 @@ variable, then the recorded default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -224,8 +225,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    # Built on the first main call, not at import, and shared by later
+    # calls: parse_args keeps nothing between calls.
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     return args.run(args)
 
 

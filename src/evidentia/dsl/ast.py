@@ -5,6 +5,14 @@ Node equality ignores source spans (span fields are marked
 :func:`render_model` emits canonical source text; :func:`dump_tree` emits
 the indented, span-annotated view the CLI ``parse --dump-ast`` command
 prints.
+
+A label prints bare when it reads back as one identifier or number, and in
+double quotes otherwise.  :func:`label_texts` renders the labels of a
+model's declarations once each into a map that belongs to its caller:
+:func:`render_model`, :func:`dump_tree` and each ``compile_model`` build
+their own and drop it when they return.  :func:`render_predicate` joins
+the texts it finds there, and renders a label the map lacks, such as one a
+hand-built tree never declared, where it is met.
 """
 
 from __future__ import annotations
@@ -166,50 +174,81 @@ def _number_text(value: Fraction) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
+class _LabelTexts(dict):
+    """Label -> its source text; a label not in the map is rendered each
+    time it is asked for, and not stored."""
+
+    __slots__ = ()
+
+    def __missing__(self, label: str) -> str:
+        return _label_text(label)
+
+
+def label_texts(declarations) -> dict[str, str]:
+    """The source text of every label the declarations name, each rendered
+    once, for :func:`render_predicate` and :func:`render_query`.  A label
+    the map lacks is still rendered correctly, only not ahead of time."""
+    texts = _LabelTexts()
+    for decl in declarations:
+        if isinstance(decl, DimensionDecl):
+            for label in decl.labels:
+                if label not in texts:
+                    texts[label] = _label_text(label)
+    return texts
+
+
 # Precedence levels: or=1, and=2, not=3, atoms=4.
 
 
-def render_predicate(pred: Predicate, parent_level: int = 0) -> str:
-    if isinstance(pred, TrueLiteral):
-        return "true"
-    if isinstance(pred, FalseLiteral):
-        return "false"
-    if isinstance(pred, LabelIs):
-        return f"{pred.dimension} == {_label_text(pred.label)}"
-    if isinstance(pred, LabelIn):
-        inner = ", ".join(_label_text(l) for l in pred.labels)
-        return f"{pred.dimension} in {{{inner}}}"
-    if isinstance(pred, Comparison):
+def render_predicate(pred: Predicate, parent_level: int = 0, texts=None) -> str:
+    """Source text of ``pred``, parenthesised when its precedence is below
+    ``parent_level``.  ``texts`` maps labels to their source text, as
+    :func:`label_texts` builds it; without it each label is rendered where
+    it is met."""
+    if texts is None:
+        texts = _LabelTexts()
+    kind = type(pred)
+    if kind is LabelIn:
+        return f"{pred.dimension} in {{{', '.join(map(texts.__getitem__, pred.labels))}}}"
+    if kind is LabelIs:
+        return f"{pred.dimension} == {texts[pred.label]}"
+    if kind is Comparison:
         return f"{pred.dimension} {pred.op} {_number_text(pred.value)}"
-    if isinstance(pred, NotPred):
-        text = f"not {render_predicate(pred.operand, 3)}"
+    if kind is TrueLiteral:
+        return "true"
+    if kind is FalseLiteral:
+        return "false"
+    if kind is NotPred:
+        text = "not " + render_predicate(pred.operand, 3, texts)
         level = 3
-    elif isinstance(pred, _Chain):
-        level, word = (2, " and ") if isinstance(pred, AndPred) else (1, " or ")
-        rest = [render_predicate(p, level + 1) for p in pred.operands[1:]]
-        text = word.join([render_predicate(pred.operands[0], level), *rest])
+    elif kind is AndPred or kind is OrPred:
+        level, word = (2, " and ") if kind is AndPred else (1, " or ")
+        first, *rest = pred.operands
+        text = word.join(
+            [render_predicate(first, level, texts), *[render_predicate(p, level + 1, texts) for p in rest]]
+        )
     else:
         raise TypeError(f"not a predicate node: {pred!r}")
     return f"({text})" if level < parent_level else text
 
 
-def render_query(query: Query) -> str:
+def render_query(query: Query, texts=None) -> str:
     if query.kind == "atomic":
         return "atomic"
     if query.kind == "table":
         return f"table({query.partition})"
     if query.kind == "P_cond":
-        return (
-            f"P({render_predicate(query.predicate)} | {render_predicate(query.given)})"
-        )
-    return f"{query.kind}({render_predicate(query.predicate)})"
+        predicate = render_predicate(query.predicate, 0, texts)
+        return f"P({predicate} | {render_predicate(query.given, 0, texts)})"
+    return f"{query.kind}({render_predicate(query.predicate, 0, texts)})"
 
 
 def render_model(model: Model) -> str:
+    texts = label_texts(model.declarations)
     lines = [f'model "{model.name}" {{']
     for decl in model.declarations:
         if isinstance(decl, DimensionDecl):
-            labels = ", ".join(_label_text(l) for l in decl.labels)
+            labels = ", ".join(map(texts.__getitem__, decl.labels))
             lines.append(f"  dimension {decl.name} = {{{labels}}}")
         else:
             count = "aleph" if decl.tranches is None else str(decl.tranches)
@@ -220,11 +259,11 @@ def render_model(model: Model) -> str:
     for part in model.partitions:
         lines.append(f"  partition {part.name} {{")
         for block in part.blocks:
-            lines.append(f"    {block.name}: {render_predicate(block.predicate)};")
+            lines.append(f"    {block.name}: {render_predicate(block.predicate, 0, texts)};")
         lines.append("  }")
     lines.append("}")
     for query in model.queries:
-        lines.append(f"query {render_query(query)}")
+        lines.append(f"query {render_query(query, texts)}")
     return "\n".join(lines) + "\n"
 
 
@@ -237,6 +276,7 @@ def _span_text(span: SourceSpan) -> str:
 
 def dump_tree(model: Model) -> str:
     """Stable indented view of the tree with one span per node."""
+    texts = label_texts(model.declarations)
     lines = [f'model "{model.name}" {_span_text(model.span)}']
     for decl in model.declarations:
         if isinstance(decl, DimensionDecl):
@@ -254,8 +294,8 @@ def dump_tree(model: Model) -> str:
         for block in part.blocks:
             lines.append(
                 f"    block {block.name} {_span_text(block.span)}: "
-                f"{render_predicate(block.predicate)}"
+                f"{render_predicate(block.predicate, 0, texts)}"
             )
     for query in model.queries:
-        lines.append(f"  query {_span_text(query.span)}: {render_query(query)}")
+        lines.append(f"  query {_span_text(query.span)}: {render_query(query, texts)}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,11 @@ own against a compiled space) not one of the space's cuts, becomes a
 diagnostic at the comparison's span.
 
 Queries are lowered eagerly, so every predicate problem surfaces at compile
-time; evaluation itself is deferred behind :class:`PreparedQuery`.
+time; evaluation itself is deferred behind :class:`PreparedQuery`.  Each
+query's text is rendered with one label-text map per compile
+(:func:`~evidentia.dsl.ast.label_texts`), so a declared label is rendered
+once however many queries name it; the map is dropped when the compile
+returns.
 """
 
 from __future__ import annotations
@@ -233,10 +237,11 @@ def compile_model(
                 Diagnostic(f"partition {part.name!r}: {exc}", part.span)
             )
 
+    texts = ast.label_texts(model.declarations)
     queries: list[PreparedQuery] = []
     for query in model.queries:
         try:
-            queries.append(_prepare(space, partitions, query))
+            queries.append(_prepare(space, partitions, query, texts))
         except _LoweringError as exc:
             diagnostics.append(exc.diagnostic)
 
@@ -249,8 +254,9 @@ def _prepare(
     space: PossibilitySpace,
     partitions: dict[str, StateSpacePartition],
     query: ast.Query,
+    texts: dict[str, str],
 ) -> PreparedQuery:
-    text = ast.render_query(query)
+    text = ast.render_query(query, texts)
     provenance = _PROVENANCE[query.kind]
     if query.kind == "atomic":
         thunk = lambda digits: atomic_probability(space)

@@ -17,6 +17,14 @@ printers recurse once per level.  Only parentheses and ``not`` nest: a
 chain of ``and`` (or of ``or``) terms is one node, and one level, however
 long it is.
 
+The productions a query runs through (:meth:`_Parser.parse_query`, the
+``and`` and ``or`` chains, ``not``, atoms and label lists) dispatch once
+per production, in the manner of Pratt's top-down operator precedence
+(1973): each reads the token in front into a local once and branches on
+its kind and text, rather than asking the parser one question per
+alternative.  Past the last token they read :data:`_END`, whose kind and
+text match nothing the grammar looks for.
+
 The two places a label list belongs (``dimension X = {...}`` and
 ``X in {...}``) share one reader, :meth:`_Parser.parse_label_list`.  A list
 the lexer read whole as one token gives its labels from one
@@ -41,6 +49,9 @@ from .lexer import IDENT, LABEL_KINDS, LIST, NUMBER, STRING, Token, expand, list
 _QUERY_KINDS = ("P", "O", "L", "E")
 _COMPARE_OPS = ("<", "<=", ">", ">=")
 _STATEMENT_STARTS = ("dimension", "continuum", "partition", "query")
+# Stands for the token after the last one: its kind and text match nothing
+# the grammar looks for, so a production reads it like any other token.
+_END = Token("", "", 0, 0, 0, 0)
 
 #: Deepest predicate accepted; each parenthesis level and each ``not``
 #: counts as one level, and a chain of ``and`` or ``or`` terms as none.
@@ -114,12 +125,13 @@ class _Parser:
         return f"'{tok.text}'" if tok else "end of input"
 
     def expect(self, kind: str, what: str) -> Token:
-        if not self.at(kind):
+        tokens = self.tokens
+        if not tokens or tokens[-1].kind != kind:
             self._expand()
-            if not self.at(kind):
+            if not tokens or tokens[-1].kind != kind:
                 self.error(f"expected {what}, found {self._found()}")
                 raise _Resync
-        return self.advance()
+        return tokens.pop()
 
     def expect_keyword(self, word: str) -> Token:
         if self.at_keyword(word):
@@ -203,9 +215,9 @@ class _Parser:
         return ast.Model(name, tuple(declarations), tuple(partitions), tuple(queries), span)
 
     def parse_label(self) -> Token:
-        tok = self.peek()
-        if tok is not None and tok.kind in LABEL_KINDS:
-            return self.advance()
+        tokens = self.tokens
+        if tokens and tokens[-1].kind in LABEL_KINDS:
+            return tokens.pop()
         self.error(f"expected a label, found {self._found()}")
         raise _Resync
 
@@ -219,11 +231,13 @@ class _Parser:
         ``clean(labels, count)`` is false: a cheap test over the list's
         labels without repeats and its number of labels that no report is
         due.  A false test costs only the split."""
-        if self.at(LIST):
-            texts = list_labels(self.peek())
+        tokens = self.tokens
+        tok = tokens[-1] if tokens else _END
+        if tok.kind == LIST:
+            texts = list_labels(tok)
             labels = dict.fromkeys(texts)
             if clean(labels, len(texts)):
-                return tuple(labels), self.advance()
+                return tuple(labels), tokens.pop()
             self._expand()
         self.expect("{", "'{'")
         # A dict keeps the labels in order and tests membership by hash.
@@ -233,9 +247,9 @@ class _Parser:
                 label_tok = self.parse_label()
                 report(label_tok, labels)
                 labels[label_tok.text] = None
-                if not self.at(","):
+                if not tokens or tokens[-1].kind != ",":
                     return tuple(labels), self.expect("}", "',' or '}'")
-                self.advance()
+                tokens.pop()
         except _Resync:
             # Resume after the list's own '}', not at it as at a block's end.
             self.synchronize()
@@ -323,38 +337,35 @@ class _Parser:
         return ast.PartitionDecl(name, tuple(blocks), _join(start, closing.span))
 
     def parse_query(self) -> ast.Query:
-        start = self.advance().span
-
-        def finish(kind, predicate=None, given=None, partition=None, end=None):
-            span = _join(start, end or start)
-            return ast.Query(kind, predicate, given, partition, span)
-
-        if self.at_keyword("atomic"):
-            tok = self.advance()
-            return finish("atomic", end=tok.span)
-        if self.at_keyword("table"):
-            self.advance()
-            self.expect("(", "'('")
-            name_tok = self.expect(IDENT, "a partition name")
-            if name_tok.text not in self.partitions:
-                self.error(f"unknown partition {name_tok.text!r}", name_tok.span)
-            closing = self.expect(")", "')'")
-            return finish("table", partition=name_tok.text, end=closing.span)
-        for kind in _QUERY_KINDS:
-            if self.at_keyword(kind):
-                self.advance()
+        tokens = self.tokens
+        start = tokens.pop()
+        tok = tokens[-1] if tokens else _END
+        kind = tok.text
+        if tok.kind == IDENT:
+            if kind == "atomic":
+                tokens.pop()
+                return ast.Query(kind, span=_join(start, tok))
+            if kind == "table":
+                tokens.pop()
+                self.expect("(", "'('")
+                name_tok = self.expect(IDENT, "a partition name")
+                if name_tok.text not in self.partitions:
+                    self.error(f"unknown partition {name_tok.text!r}", name_tok.span)
+                closing = self.expect(")", "')'")
+                return ast.Query(kind, partition=name_tok.text, span=_join(start, closing))
+            if kind in _QUERY_KINDS:
+                tokens.pop()
                 self.expect("(", "'('")
                 predicate = self.parse_predicate()
                 given = None
-                if self.at("|"):
+                if tokens and tokens[-1].kind == "|":
                     if kind != "P":
                         self.error(f"'{kind}' does not take a conditioning predicate")
-                    self.advance()
+                    tokens.pop()
                     given = self.parse_predicate()
+                    kind = "P_cond"
                 closing = self.expect(")", "')'")
-                if given is not None:
-                    return finish("P_cond", predicate, given, end=closing.span)
-                return finish(kind, predicate, end=closing.span)
+                return ast.Query(kind, predicate, given, span=_join(start, closing))
         self.error(
             "expected one of 'P', 'O', 'L', 'E', 'table', 'atomic' after 'query', "
             f"found {self._found()}"
@@ -377,12 +388,15 @@ class _Parser:
         """``operand`` terms joined by ``word`` as one ``node``; a
         parenthesised chain of the same kind in front joins it."""
         first = operand(level)
-        if not self.at_keyword(word):
+        tokens = self.tokens
+        tok = tokens[-1] if tokens else _END
+        if tok.text != word or tok.kind != IDENT:
             return first
         parts = list(first.operands) if isinstance(first, node) else [first]
-        while self.at_keyword(word):
-            self.advance()
+        while tok.text == word and tok.kind == IDENT:
+            tokens.pop()
             parts.append(operand(level))
+            tok = tokens[-1] if tokens else _END
         return node(tuple(parts), _join(first.span, parts[-1].span))
 
     def parse_predicate(self, level: int = 0) -> ast.Predicate:
@@ -392,7 +406,8 @@ class _Parser:
         return self._chain(level, "and", ast.AndPred, self.parse_unary)
 
     def parse_unary(self, level: int) -> ast.Predicate:
-        if self.at_keyword("not"):
+        tok = self.tokens[-1] if self.tokens else _END
+        if tok.text == "not" and tok.kind == IDENT:
             start = self._open(level).span
             operand = self.parse_unary(level + 1)
             return ast.NotPred(operand, _join(start, operand.span))
@@ -421,50 +436,53 @@ class _Parser:
             )
 
     def parse_atom(self, level: int) -> ast.Predicate:
-        if self.at("("):
+        tokens = self.tokens
+        tok = tokens[-1] if tokens else _END
+        kind = tok.kind
+        if kind == IDENT:
+            name = tok.text
+            if name == "true":
+                return ast.TrueLiteral(tokens.pop().span)
+            if name == "false":
+                return ast.FalseLiteral(tokens.pop().span)
+            name_tok = tokens.pop()
+            decl = self._declared(name_tok)
+            tok = tokens[-1] if tokens else _END
+            op = tok.kind
+            if op == "==":
+                tokens.pop()
+                label_tok = self.parse_label()
+                self._check_label(decl, label_tok, name)
+                return ast.LabelIs(name, label_tok.text, _join(name_tok, label_tok))
+            if op == IDENT and tok.text == "in":
+                tokens.pop()
+                # Repeated members are dropped; the first is kept.
+                labels, closing = self.parse_label_list(
+                    lambda label_tok, seen: self._check_label(decl, label_tok, name),
+                    lambda labels, count: isinstance(decl, ast.DimensionDecl)
+                    and labels.keys() <= self.label_sets[decl.name],
+                )
+                return ast.LabelIn(name, labels, _join(name_tok, closing))
+            if op in _COMPARE_OPS:
+                tokens.pop()
+                value, value_tok = self._number(f"a number after '{op}'")
+                if decl is not None and not isinstance(decl, ast.ContinuumDecl):
+                    self.error(
+                        f"ordering comparison needs a continuum; "
+                        f"{name!r} is a labelled dimension",
+                        name_tok.span,
+                    )
+                return ast.Comparison(name, op, value, _join(name_tok, value_tok))
+            self.error(
+                f"expected '==', 'in' or a comparison after {name!r}, "
+                f"found {self._found()}"
+            )
+            raise _Resync
+        if kind == "(":
             self._open(level)
             inner = self.parse_predicate(level + 1)
             self.expect(")", "')'")
             return inner
-        if self.at_keyword("true"):
-            return ast.TrueLiteral(self.advance().span)
-        if self.at_keyword("false"):
-            return ast.FalseLiteral(self.advance().span)
-        if self.at(IDENT):
-            name_tok = self.advance()
-            decl = self._declared(name_tok)
-            if self.at("=="):
-                self.advance()
-                label_tok = self.parse_label()
-                self._check_label(decl, label_tok, name_tok.text)
-                span = _join(name_tok, label_tok)
-                return ast.LabelIs(name_tok.text, label_tok.text, span)
-            if self.at_keyword("in"):
-                self.advance()
-                # Repeated members are dropped; the first is kept.
-                labels, closing = self.parse_label_list(
-                    lambda label_tok, seen: self._check_label(decl, label_tok, name_tok.text),
-                    lambda labels, count: isinstance(decl, ast.DimensionDecl)
-                    and labels.keys() <= self.label_sets[decl.name],
-                )
-                return ast.LabelIn(name_tok.text, labels, _join(name_tok, closing))
-            for op in _COMPARE_OPS:
-                if self.at(op):
-                    self.advance()
-                    value, value_tok = self._number(f"a number after '{op}'")
-                    if decl is not None and not isinstance(decl, ast.ContinuumDecl):
-                        self.error(
-                            f"ordering comparison needs a continuum; "
-                            f"{name_tok.text!r} is a labelled dimension",
-                            name_tok.span,
-                        )
-                    span = _join(name_tok.span, value_tok.span)
-                    return ast.Comparison(name_tok.text, op, value, span)
-            self.error(
-                f"expected '==', 'in' or a comparison after {name_tok.text!r}, "
-                f"found {self._found()}"
-            )
-            raise _Resync
         self.error(
             f"expected a predicate (dimension test, 'true', 'false' or '('), "
             f"found {self._found()}"

@@ -60,10 +60,15 @@ along the way, of degree above :data:`MAX_PARSE_DEGREE` (64), nesting of
 of more than :data:`MAX_PARSE_DIGITS` (3010) digits, any digit outside
 ASCII ``0``-``9``, any coefficient it would build of more than
 :data:`MAX_PARSE_BITS` bits, and division by zero, each as a
-``ValueError`` with its offset.  So a printed value does not read back
-when one of its own steps passes a limit: ``(aleph^32 + 1)/(aleph^64 +
-3)`` is refused with ``degree 96 is above the limit of 64``, as a
-quotient's bound adds the degrees of its two sides.
+``ValueError`` with its offset.  Each step is bounded by the polynomials
+it builds: ``n1*n2`` and ``d1*d2`` for ``*``, ``n1*d2`` and ``d1*n2`` for
+``/``, and ``n1*d2``, ``n2*d1``, ``d1*d2`` and the numerator ``n1*d2 +
+n2*d1`` for ``+`` and ``-``.  So a printed value reads back when its
+numbers have at most :data:`MAX_PARSE_DIGITS` digits and its numerator and
+denominator a degree of at most :data:`MAX_PARSE_DEGREE`; and, when it
+prints as a sum of several terms over one power of ``aleph`` (``1/2 +
+3/aleph``), its denominator times itself and times its numerator stay
+within both limits, as the terms are added one at a time.
 :func:`decimal_approximation` rounds the standard part half-even with one
 integer ``divmod``, to at most :data:`MAX_DIGITS` places.
 
@@ -666,32 +671,68 @@ def _poly_text(p, shift: int = 0, scale: int = 1) -> str:
     return "".join(chunks)
 
 
-def _product_degree(a: Hyperrational, b: Hyperrational) -> int:
-    # Bounds the degree of every polynomial that a * b or a / b builds.
-    return max(len(a._num), len(a._den)) + max(len(b._num), len(b._den)) - 2
+def _products(a: Hyperrational, op: str, b: Hyperrational):
+    # The pairs of polynomials a op b multiplies: n1*n2 and d1*d2 for *,
+    # n1*d2 and d1*n2 for /, and n1*d2, n2*d1 and d1*d2 for + and -.
+    n1, d1, n2, d2 = a._num, a._den, b._num, b._den
+    if op == "*":
+        return (n1, n2), (d1, d2)
+    if op == "/":
+        return (n1, d2), (d1, n2)
+    return (n1, d2), (n2, d1), (d1, d2)
 
 
-def _sum_degree(a: Hyperrational, b: Hyperrational) -> int:
-    # Bounds the degree of every polynomial that a + b or a - b builds:
-    # n1*d2, n2*d1 and d1*d2 (a zero numerator counts as degree -1).
-    dn1, dd1, dn2, dd2 = len(a._num), len(a._den), len(b._num), len(b._den)
-    return max(dn1 + dd2, dn2 + dd1, dd1 + dd2) - 2
+def _product_degree(a: Hyperrational, op: str, b: Hyperrational) -> int:
+    # The highest degree of the products that _products lists, from the
+    # lengths alone (a zero numerator counts as degree -1).
+    n1, d1, n2, d2 = len(a._num), len(a._den), len(b._num), len(b._den)
+    if op == "*":
+        return max(n1 + n2, d1 + d2) - 2
+    if op == "/":
+        return max(n1 + d2, d1 + n2) - 2
+    return max(n1 + d2, n2 + d1, d1 + d2) - 2
 
 
-def _coefficient_bits(a: Hyperrational, b: Hyperrational) -> int:
-    # Bounds the bit length of every coefficient that a op b builds for op
-    # in + - * /: each sums at most two products of polynomials of at most
-    # MAX_PARSE_DEGREE + 1 terms, so under 2**8 products of a coefficient
-    # of a by one of b.
-    return sum(max(map(int.bit_length, v._num + v._den)) for v in (a, b)) + 8
+def _product_height(p, q) -> int:
+    # Bounds the absolute value of every coefficient of p*q: each sums at
+    # most min(len(p), len(q)) products of a coefficient of p and one of q.
+    return min(len(p), len(q)) * max(map(abs, p), default=0) * max(map(abs, q), default=0)
 
 
-# The canonical a op b has coefficients of at most 144 bits more than a's
-# and b's together: the 8 above, plus at most 68 per side for a cancelled
-# factor, which Mignotte's bound keeps within 2**64 * sqrt(65) times its
-# multiple at degree 64.  A digit adds under 5 bits, so a value read from n
-# characters has coefficients of under 144*n bits, and no step within the
-# first _UNCHECKED_CHARS characters can pass MAX_PARSE_BITS.
+def _degrees(p, q) -> range:
+    # The degrees at which p*q can have a nonzero term.
+    if not (p and q):
+        return range(0)
+    low = next(i for i, c in enumerate(p) if c) + next(i for i, c in enumerate(q) if c)
+    return range(low, len(p) + len(q) - 1)
+
+
+def _built_height(a: Hyperrational, op: str, b: Hyperrational) -> int:
+    # Bounds the absolute value of every coefficient that a op b builds:
+    # its products, and for + and - the numerator n1*d2 + n2*d1, whose two
+    # products add only at the degrees they share.  Reading a sum of terms
+    # of distinct degrees, as str prints them, is bounded by its terms.
+    products = _products(a, op, b)
+    heights = [_product_height(p, q) for p, q in products]
+    if op in "+-":
+        one, other = _degrees(*products[0]), _degrees(*products[1])
+        if max(one.start, other.start) < min(one.stop, other.stop):
+            heights.append(heights[0] + heights[1])
+    return max(heights)
+
+
+# The products a step checks each multiply one side of a by one side of b,
+# and a coefficient of p*q sums at most 65 < 2**7 products of one
+# coefficient of each: so each product, and the sum of two that + builds,
+# has under 8 bits more than a's and b's largest coefficients together.
+# The reduced route multiplies factors of those sides, and the canonical
+# a op b keeps factors of those products; Mignotte's bound keeps a factor of
+# degree 64 or less within 2**64 * sqrt(65), under 68 bits, times its
+# multiple.  So nothing a step builds has 8 + 2*68 = 144 bits more than a's
+# and b's largest coefficients together.  A digit adds under 5 bits and an
+# operator at least one character, so a value read from n characters has
+# coefficients of under 144*n bits, and no step within the first
+# _UNCHECKED_CHARS characters can pass MAX_PARSE_BITS.
 _UNCHECKED_CHARS = MAX_PARSE_BITS // 144
 
 
@@ -738,14 +779,12 @@ class _Reader:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def _expr(self) -> Hyperrational:
-        ops = {"+": operator.add, "-": operator.sub}
-        return self._chain(ops, self._term, _sum_degree)
+        return self._chain({"+": operator.add, "-": operator.sub}, self._term)
 
     def _term(self) -> Hyperrational:
-        ops = {"*": operator.mul, "/": operator.truediv}
-        return self._chain(ops, self._factor, _product_degree)
+        return self._chain({"*": operator.mul, "/": operator.truediv}, self._factor)
 
-    def _chain(self, ops, operand, degree) -> Hyperrational:
+    def _chain(self, ops, operand) -> Hyperrational:
         # operand ((op) operand)*, folded left to right.
         value = operand()
         while True:
@@ -757,9 +796,9 @@ class _Reader:
             self._skip_ws()
             start = self.pos
             rhs = operand()
-            self._check_degree(degree(value, rhs))
+            self._check_degree(_product_degree(value, op, rhs))
             if self.pos > _UNCHECKED_CHARS:
-                self._check_bits(_coefficient_bits(value, rhs))
+                self._check_bits(_built_height(value, op, rhs).bit_length())
             if op == "/" and not rhs:
                 self.pos = start
                 self._fail("division by zero")

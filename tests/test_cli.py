@@ -13,8 +13,8 @@ import jsonschema
 import pytest
 
 import evidentia
-from evidentia import Hyperrational, fixtures
-from evidentia.cli import main
+from evidentia import Hyperrational, cli, fixtures
+from evidentia.cli import build_arg_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -299,6 +299,100 @@ def test_parse_does_not_import_the_suites(fixture_path):
     )
     done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+# -- one argument parser per process ---------------------------------------------
+
+# Runs each step, a list of arguments and the EVIDENTIA_SEED to set (or None
+# to unset it), through one cli.main in one process, and prints what each
+# gave as JSON.
+_STEPS_CHILD = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+from evidentia import cli
+results = []
+for argv, seed in json.loads(sys.argv[2]):
+    if seed is None:
+        os.environ.pop("EVIDENTIA_SEED", None)
+    else:
+        os.environ["EVIDENTIA_SEED"] = seed
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_steps(steps):
+    package_root = str(Path(evidentia.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _STEPS_CHILD, package_root, json.dumps(steps)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_repeated_main_calls_match_fresh_processes(fixture_path):
+    coin = fixture_path("coin")
+    check = ["check", "--instances", "1"]
+    steps = [
+        (["eval", coin, "--scaled", "--format", "json", "--digits", "3"], None),
+        (["eval", coin], None),
+        ([*check, "--seed", "3"], None),
+        (check, None),
+        (check, "5"),
+        (check, None),
+        (["eval", coin, "--digits", "-1"], None),
+        (["eval", coin], None),
+    ]
+    in_sequence = _run_steps(steps)
+    alone = [_run_steps([step])[0] for step in steps]
+    assert in_sequence == alone
+    assert alone[6][0] == "SystemExit(2)" and "seed: 5" in alone[4][1]
+
+
+def test_main_builds_one_argument_parser(monkeypatch, capsys, fixture_path):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_arg_parser()
+
+    monkeypatch.setattr(cli, "build_arg_parser", counted)
+    cli._arg_parser.cache_clear()
+    try:
+        for _ in range(5):
+            assert run(capsys, "eval", fixture_path("coin"))[0] == 0
+    finally:
+        cli._arg_parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_argument_parser():
+    # A fresh `evidentia` process pays for its parser on its first main
+    # call, not on import.
+    package_root = str(Path(evidentia.__file__).resolve().parent.parent)
+    code = (
+        "import argparse, sys\n"
+        f"sys.path.insert(0, {package_root!r})\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import evidentia.cli\n"
+        "print(len(built))\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
 
 # -- check ----------------------------------------------------------------------

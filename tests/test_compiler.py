@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evidentia import ALEPH, Hyperrational, fixtures, oracle
 from evidentia.dsl import ModelError, compile_model, lower_predicate, parse_model
@@ -300,3 +301,98 @@ def test_unknown_label_is_a_span_tagged_model_error(pred, missing):
     ) as exc:
         lower_predicate(space, pred)
     assert [d.span for d in exc.value.diagnostics] == [pred.span]
+
+
+# -- query texts ------------------------------------------------------------------
+
+# Labels that print bare and labels that need quotes: spaces, punctuation,
+# non-ASCII letters and digits, decimal-looking text and keywords.
+_labels = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,2})?", fullmatch=True),
+    st.sampled_from(["a b", "x,y", "{", "1.", ".5", "-1", "1e3", "٣", "é", "²", "true", "in", ""]),
+    st.text(st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)), max_size=4),
+)
+
+
+@st.composite
+def _labelled_queries(draw):
+    """A model of two labelled dimensions, which may share labels, and
+    queries over them that may name a label more than once."""
+    first = draw(st.lists(_labels, min_size=1, max_size=5, unique=True))
+    second = draw(
+        st.lists(st.one_of(st.sampled_from(first), _labels), min_size=1, max_size=5, unique=True)
+    )
+    labels = {"d": first, "e": second}
+    dims = st.sampled_from(sorted(labels))
+    leaves = st.one_of(
+        st.just(ast.TrueLiteral()),
+        dims.flatmap(
+            lambda dim: st.sampled_from(labels[dim]).map(lambda label: ast.LabelIs(dim, label))
+        ),
+        dims.flatmap(
+            lambda dim: st.lists(st.sampled_from(labels[dim]), min_size=1, max_size=4).map(
+                lambda chosen: ast.LabelIn(dim, tuple(chosen))
+            )
+        ),
+    )
+    predicates = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(ast.NotPred),
+            st.lists(inner, min_size=2, max_size=3).map(lambda ps: ast.AndPred(tuple(ps))),
+            st.lists(inner, min_size=2, max_size=3).map(lambda ps: ast.OrPred(tuple(ps))),
+        ),
+        max_leaves=8,
+    )
+    queries = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["P", "O", "E"]), predicates).map(
+                    lambda kp: ast.Query(kp[0], kp[1])
+                ),
+                st.tuples(predicates, predicates).map(lambda pg: ast.Query("P_cond", *pg)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    decls = tuple(ast.DimensionDecl(name, tuple(ls)) for name, ls in labels.items())
+    return ast.Model("m", decls, (), tuple(queries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_labelled_queries())
+def test_query_texts_match_rendering_without_a_label_map(model):
+    texts = [query.text for query in compile_model(model).queries]
+    assert texts == [ast.render_query(query) for query in model.queries]
+
+
+@pytest.mark.parametrize(
+    "pred", [ast.LabelIs("d", "no such"), ast.LabelIn("d", ("a b", "no such"))], ids=["is", "in"]
+)
+def test_an_undeclared_label_in_a_hand_built_query_is_a_model_error(pred):
+    decls = (ast.DimensionDecl("d", ("a b", "c")),)
+    model = ast.Model("m", decls, (), (ast.Query("P", pred),))
+    with pytest.raises(ModelError, match="^unknown label 'no such' for dimension 'd'$"):
+        compile_model(model)
+
+
+def test_compile_renders_each_declared_label_once(monkeypatch):
+    rendered = []
+    label_text = ast._label_text
+
+    def counted(label):
+        rendered.append(label)
+        return label_text(label)
+
+    monkeypatch.setattr(ast, "_label_text", counted)
+    source = (
+        'model "m" { dimension d = {a, "b c", "1.5"} dimension e = {a, "b c", z} }\n'
+        + "query P(d == a and e in {a, \"b c\"})\n" * 20
+        + "query P(d in {\"b c\", \"1.5\"} | not e == z)\n" * 20
+    )
+    model = parse_model(source)
+    rendered.clear()
+    compile_model(model)
+    assert sorted(rendered) == ["1.5", "a", "b c", "z"]

@@ -110,3 +110,4 @@ def test_hyperrational_parse_returns_or_raises_value_error(text):
     except (ValueError, ZeroDivisionError):
         return
     assert isinstance(value, Hyperrational)
+    assert Hyperrational.parse(str(value)) == value

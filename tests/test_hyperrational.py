@@ -375,6 +375,77 @@ def test_parse_bounds_the_coefficients_it_builds():
             Hyperrational.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # A quotient of two plain integers whose sides together pass the bit
+        # limit, though each side alone is within it.
+        f"1/{'9' * 1495} + 1/{'1' + '0' * 1493 + '1'}",
+        # A quotient whose sides together pass the degree limit.
+        "(aleph^32 + 1)/(aleph^64 + 3)",
+        # Two coefficients of MAX_PARSE_DIGITS digits at distinct degrees.
+        f"{'9' * MAX_PARSE_DIGITS}*(aleph + 1)",
+    ],
+    ids=["bits", "degree", "distinct-degrees"],
+)
+def test_parse_reads_back_what_it_returned(text):
+    value = Hyperrational.parse(text)
+    assert Hyperrational.parse(str(value)) == value
+
+
+def test_parse_bounds_a_sum_where_its_terms_share_a_degree():
+    nines = "9" * MAX_PARSE_DIGITS
+    # 2 * (10**3010 - 1) has 10001 bits; at distinct degrees nothing adds.
+    with pytest.raises(ValueError, match="coefficients of up to 10001 bits"):
+        Hyperrational.parse(f"{nines} + {nines}")
+    assert Hyperrational.parse(f"{nines}*aleph + {nines}") == (10**MAX_PARSE_DIGITS - 1) * (ALEPH + 1)
+
+
+def _sparse(terms):
+    """The trimmed polynomial of the ``(degree, coefficient)`` terms."""
+    coeffs = [0] * (max(d for d, _ in terms) + 1)
+    for degree, c in terms:
+        coeffs[degree] = c
+    return _trim(coeffs)
+
+
+_near_limit_coefficients = st.one_of(
+    st.integers(1, 9),
+    st.integers(1, MAX_PARSE_DIGITS).map(lambda n: 10**n - 1),
+    st.integers(1, MAX_PARSE_DIGITS).map(lambda n: 10 ** (n - 1) + 1),
+)
+_terms = st.lists(
+    st.tuples(
+        st.integers(0, MAX_PARSE_DEGREE),
+        st.tuples(st.sampled_from((1, -1)), _near_limit_coefficients).map(lambda t: t[0] * t[1]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _terms,
+    st.tuples(st.integers(0, MAX_PARSE_DEGREE), _near_limit_coefficients),
+    st.booleans(),
+)
+def test_values_near_both_limits_read_back(terms, monomial, over):
+    # One side is a monomial, so no polynomial gcd is needed to build the
+    # value.  Over a polynomial, it prints as a quotient.  Under one, it
+    # prints as a sum of terms over the monomial, which is read term by term:
+    # the partial sums multiply the denominator by itself and by the
+    # numerator, so those products are kept within both limits.
+    degree, c = monomial
+    if over:
+        value = Hyperrational._raw((0,) * degree + (c,), _sparse(terms))
+    else:
+        poly = _sparse([(d, c // 10**7 or 1) for d, c in terms])
+        degree = min(degree, MAX_PARSE_DEGREE // 2, MAX_PARSE_DEGREE - (len(poly) - 1))
+        value = Hyperrational._raw(poly, (0,) * degree + (c % 10**6 + 1,))
+    assert Hyperrational.parse(str(value)) == value
+
+
 def test_repr_round_trips():
     value = (3 * ALEPH + 5) / (4 * ALEPH + 1)
     assert eval(repr(value), {"Hyperrational": Hyperrational}) == value
