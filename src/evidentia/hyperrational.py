@@ -41,6 +41,10 @@ guarantees; otherwise, with ``g = gcd(d1, d2)`` and ``t = n1*(d2/g) +
 n2*(d1/g)``, only ``gcd(t, g)`` can cancel.  A shared power of ``aleph``
 is cancelled by slicing, so two single-term denominators need no
 polynomial gcd either.  What remains is the integer content and the sign.
+A polynomial gcd is primitive pseudo-remainder Euclid (Knuth, *TAOCP*
+Vol. 2, 4.6.1) that stops as soon as a side is linear: a primitive
+``c + d*aleph`` divides the other side exactly when that side vanishes at
+``-c/d``, which one integer Horner pass decides.
 Negation and ``x**-k`` move signs only.
 
 Two values are ordered by degree first: opposite signs decide, then the
@@ -193,14 +197,32 @@ def _pseudo_rem(a, b):
 def _poly_gcd(p, q):
     """Primitive gcd of two nonzero integer polynomials, positive leading
     coefficient.  Primitive pseudo-remainder Euclid: integers throughout,
-    content stripped each round to keep coefficients small."""
+    content stripped each round to keep coefficients small.
+
+    Euclid stops as soon as a side is linear.  A primitive ``c + d*x``
+    divides ``a`` exactly when ``a`` vanishes at ``-c/d``, that is when
+    ``sum(a_i * (-c)^i * d^(n-i))`` is 0, which one Horner pass computes
+    in integers.  So the gcd is that linear side or 1."""
+    if len(p) < len(q):
+        p, q = q, p
     a = _primitive(p)
     b = _primitive(q)
-    while b:
+    while len(b) > 2:
         a, b = b, _primitive(_pseudo_rem(a, b))
-    if a[-1] < 0:
-        a = _neg(a)
-    return a
+    if not b:
+        # The last division was exact: a is the gcd.
+        return _neg(a) if a[-1] < 0 else a
+    if len(b) == 1:
+        return _ONE
+    c, d = b
+    value = 0
+    power = 1
+    for coeff in reversed(a):
+        value = value * -c + coeff * power
+        power *= d
+    if value:
+        return _ONE
+    return (-c, -d) if d < 0 else b
 
 
 def _div_exact(p, g):

@@ -3,6 +3,7 @@ magnitudes, rendering, and agreement with plain-rational substitution."""
 
 import decimal
 import operator
+import random
 import sys
 from fractions import Fraction
 from math import gcd
@@ -478,6 +479,108 @@ def test_decimal_approximation_of_infinitesimal_is_zero():
     assert decimal_approximation(-1 / ALEPH, 6) == "0.000000"
 
 
+# -- the polynomial gcd against a reference of the tests' own ------------------------
+
+
+def reference_gcd(p, q):
+    """Primitive pseudo-remainder Euclid all the way down (Knuth, *TAOCP*
+    Vol. 2, 4.6.1), positive leading coefficient.  It shares no helper
+    with ``_poly_gcd`` but ``_trim``, so it can judge that function."""
+
+    def primitive(r):
+        content = gcd(*r)
+        return tuple(c // content for c in r)
+
+    a, b = primitive(p), primitive(q)
+    while b:
+        r = a
+        while len(r) >= len(b):
+            shift, lead = len(r) - len(b), r[-1]
+            r = [c * b[-1] for c in r]
+            for i, c in enumerate(b):
+                r[shift + i] -= lead * c
+            r = _trim(r)
+        a, b = b, primitive(r) if r else ()
+    return tuple(-c for c in a) if a[-1] < 0 else a
+
+
+def planted_pair(integer):
+    """Two nonzero polynomials of degree at most 4 that share a planted
+    factor: none, a linear one, a quadratic one or a linear one squared.
+    Each side gets a content from 1 to 12, and coefficients of either sign,
+    up to 9 in magnitude or of 2^64 to 2^200.  ``integer(lo, hi)`` draws
+    the numbers, so Hypothesis and a seeded loop build the same shapes."""
+
+    def coefficient(nonzero=False):
+        if integer(0, 4) == 0:
+            value = integer(2**64, 2**200)
+        else:
+            value = integer(1 if nonzero else 0, 9)
+        return -value if integer(0, 1) else value
+
+    def poly(degree):
+        return tuple(coefficient() for _ in range(degree)) + (coefficient(nonzero=True),)
+
+    shape = integer(0, 3)
+    if shape == 0:
+        factor = (1,)
+    elif shape < 3:
+        factor = poly(shape)
+    else:
+        linear = poly(1)
+        factor = _mul(linear, linear)
+    room = 5 - len(factor)
+    p = _mul(_mul(factor, poly(integer(0, room))), (integer(1, 12),))
+    q = _mul(_mul(factor, poly(integer(0, room))), (integer(1, 12),))
+    return p, q
+
+
+def test_reference_gcd_on_known_pairs():
+    x_minus_1, x_plus_2 = (-1, 1), (2, 1)
+    assert reference_gcd(_mul(x_minus_1, x_plus_2), _mul(x_minus_1, (3, 1))) == x_minus_1
+    assert reference_gcd((-6, 0, 6), (3, -3)) == x_minus_1  # (6x^2 - 6, 3 - 3x)
+    assert reference_gcd(_mul(x_plus_2, x_plus_2), _mul(x_plus_2, (0, 1))) == x_plus_2
+    assert reference_gcd((1, 0, 1), (-1, 0, 1)) == (1,)
+    assert reference_gcd((4, 0, 2), (6, 0, 3)) == (2, 0, 1)
+
+
+@given(st.data())
+def test_poly_gcd_matches_the_reference(data):
+    p, q = planted_pair(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assert _poly_gcd(p, q) == _poly_gcd(q, p) == reference_gcd(p, q)
+
+
+def test_poly_gcd_matches_the_reference_on_seeded_pairs():
+    rng = random.Random(22)
+    for _ in range(10_000):
+        p, q = planted_pair(rng.randint)
+        assert _poly_gcd(p, q) == reference_gcd(p, q), (p, q)
+
+
+def test_poly_gcd_of_a_limit_size_pair():
+    # A degree-61 polynomial times a linear factor, and the same without
+    # it, with 1500-digit coefficients: about what Hyperrational.parse
+    # builds at its limits.  A linear factor is irreducible, so the gcd is
+    # that factor made primitive with a positive lead, or 1 where it does
+    # not divide; the reference would pseudo-divide 62 times, its
+    # coefficients growing by 1500 digits each time.
+    rng = random.Random(61)
+
+    def number():
+        return rng.randrange(10**1499, 10**1500) * rng.choice((-1, 1))
+
+    poly = tuple(number() for _ in range(62))
+    c, d = number(), number()
+    sign = 1 if d > 0 else -1
+    want = (sign * c // gcd(c, d), sign * d // gcd(c, d))
+    # By Gauss's lemma a primitive c + d*x that divides poly has c dividing
+    # poly's constant term.
+    assert poly[0] % want[0]
+    linear = _mul((c, d), (rng.randrange(2, 10**6) * rng.choice((-1, 1)),))
+    assert _poly_gcd(_mul(poly, linear), linear) == _poly_gcd(linear, _mul(poly, linear)) == want
+    assert _poly_gcd(poly, linear) == _poly_gcd(linear, poly) == (1,)
+
+
 # -- property tests ------------------------------------------------------------------
 
 
@@ -618,7 +721,7 @@ def test_results_are_canonical(a, b):
         assert gcd(*num, *den) == 1
         assert den[-1] > 0
         if len(num) > 1 and len(den) > 1:
-            assert _poly_gcd(num, den) == (1,)
+            assert reference_gcd(num, den) == (1,)
 
 
 operands = st.one_of(

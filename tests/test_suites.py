@@ -136,6 +136,7 @@ def _off_by_one(measure, when):
 
 measures = importlib.import_module("evidentia.evidence")
 compiler = importlib.import_module("evidentia.dsl.compiler")
+hyperrational = importlib.import_module("evidentia.hyperrational")
 
 
 def _off_by_one_on_one_pair(prop, given, right=measures.conditional_probability):
@@ -147,6 +148,11 @@ def _off_by_one_on_one_pair(prop, given, right=measures.conditional_probability)
 
 
 BROKEN_LAWS = {
+    "laws": (
+        hyperrational, "_poly_gcd", lambda p, q: (1,),
+        lambda: suites.hyperrational_laws_suite(random.Random(1), 300),
+        (431, 'case 0: division inverts multiplication with a=-9, b=2/(aleph + 2), c=-2/(aleph - 3)'),
+    ),
     "sum_rule": (
         measures, "evidence", _off_by_one(measures.evidence, lambda count: count == 3),
         lambda: suites.sum_rule_suite(random.Random(1), 200),
