@@ -37,7 +37,7 @@ def _record(query, result, digits: int) -> dict:
         ]
         exact = "; ".join(f"{b['name']}: {b['exact']}" for b in blocks)
     elif isinstance(result, Odds) and result.is_infinite:
-        exact, magnitude = "infinite-odds", "infinite"
+        exact, magnitude = str(result), "infinite"
     elif isinstance(result, LogOdds):
         exact, approx, magnitude = str(result.odds), result.approx, str(result.odds.magnitude())
     else:
@@ -79,7 +79,7 @@ def _text_lines(record: dict) -> list[str]:
 
 def _read_source(path: str) -> str | None:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         reason = exc.strerror or exc
@@ -154,11 +154,9 @@ def _cmd_check(args) -> int:
         if code:
             return code
         extra_models.append((args.file, model))
-    if args.instances == 0:
-        print("warning: --instances 0 requested; nothing was checked")
-        print(f"seed: {seed}")
-        return 0
     results = suites.run_all(seed=seed, instances=args.instances, extra_models=extra_models)
+    if not results:
+        print("warning: --instances 0 requested; nothing was checked")
     for result in results:
         print(result.summary())
     print(f"seed: {seed}")

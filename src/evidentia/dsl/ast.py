@@ -243,6 +243,11 @@ def render_query(query: Query, texts=None) -> str:
     return f"{query.kind}({render_predicate(query.predicate, 0, texts)})"
 
 
+def _continuum_text(decl: ContinuumDecl) -> str:
+    count = "aleph" if decl.tranches is None else str(decl.tranches)
+    return f"from {_number_text(decl.low)} to {_number_text(decl.high)} tranches {count}"
+
+
 def render_model(model: Model) -> str:
     texts = label_texts(model.declarations)
     lines = [f'model "{model.name}" {{']
@@ -251,11 +256,7 @@ def render_model(model: Model) -> str:
             labels = ", ".join(map(texts.__getitem__, decl.labels))
             lines.append(f"  dimension {decl.name} = {{{labels}}}")
         else:
-            count = "aleph" if decl.tranches is None else str(decl.tranches)
-            lines.append(
-                f"  continuum {decl.name} from {_number_text(decl.low)}"
-                f" to {_number_text(decl.high)} tranches {count}"
-            )
+            lines.append(f"  continuum {decl.name} {_continuum_text(decl)}")
     for part in model.partitions:
         lines.append(f"  partition {part.name} {{")
         for block in part.blocks:
@@ -283,11 +284,8 @@ def dump_tree(model: Model) -> str:
             labels = ", ".join(decl.labels)
             lines.append(f"  dimension {decl.name} {_span_text(decl.span)}: {labels}")
         else:
-            count = "aleph" if decl.tranches is None else str(decl.tranches)
             lines.append(
-                f"  continuum {decl.name} {_span_text(decl.span)}: "
-                f"from {_number_text(decl.low)} to {_number_text(decl.high)} "
-                f"tranches {count}"
+                f"  continuum {decl.name} {_span_text(decl.span)}: {_continuum_text(decl)}"
             )
     for part in model.partitions:
         lines.append(f"  partition {part.name} {_span_text(part.span)}")

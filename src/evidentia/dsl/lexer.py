@@ -50,7 +50,8 @@ LIST = "list"
 LABEL_KINDS = (IDENT, NUMBER, STRING)
 
 # The ASCII characters str.isspace() accepts, less "\n".
-_SPACE = r"[ \t\r\x0b\x0c\x1c-\x1f]"
+_SPACE_CHARS = r" \t\r\x0b\x0c\x1c-\x1f"
+_SPACE = f"[{_SPACE_CHARS}]"
 #: An ASCII identifier and a number: the two forms of a bare label, which
 #: the scan, the label-list pattern and rendering back to source all share.
 IDENT_PATTERN = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -79,7 +80,7 @@ _MASTER = re.compile(
 # Whitespace and comments between the labels of a list.  A comment there
 # must end at its newline, so a run of "#" has one reading, not one per way
 # of cutting it into comments.
-_BLANK = r"[ \t\r\n\x0b\x0c\x1c-\x1f]*"
+_BLANK = rf"[\n{_SPACE_CHARS}]*"
 _GAP = rf"{_BLANK}(?:\#[^\n]*\n{_BLANK})*"
 _LABEL = rf'(?:{IDENT_PATTERN}|{NUMBER_PATTERN}|"[^"\n]*")'
 # "(?=(X))\1" reads X as an atomic group would; Python 3.10 has none.  The

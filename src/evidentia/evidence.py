@@ -18,7 +18,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hyperrational import Hyperrational, MagnitudeClass, _check_digits
+from .hyperrational import Hyperrational, MagnitudeClass, _check_digits, _rounded
 from .spaces import PossibilitySpace, Proposition, StateSpacePartition
 
 
@@ -164,12 +164,7 @@ def _log_decimal(value: Fraction, digits: int, base: str) -> str:
             result /= decimal.Decimal(2).ln()
         elif base == "10":
             result /= decimal.Decimal(10).ln()
-        # quantize needs the context: its precision covers the integer
-        # digits plus `digits`.
-        rounded = result.quantize(
-            decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN
-        )
-    return format(rounded if rounded else abs(rounded), "f")  # never "-0"
+    return _rounded(*result.as_integer_ratio(), digits)
 
 
 @dataclass(frozen=True)

@@ -61,14 +61,14 @@ same syntax back, bit-exactly.  Because its text may come from outside
 the program, it rejects any exponent, and any polynomial it would build
 along the way, of degree above :data:`MAX_PARSE_DEGREE` (64), nesting of
 ``(`` and unary ``-`` deeper than :data:`MAX_PARSE_DEPTH` (100), any run
-of more than :data:`MAX_PARSE_DIGITS` (3010) digits, any digit outside
-ASCII ``0``-``9``, any coefficient it would build of more than
+of more than :data:`MAX_PARSE_DIGITS` (3011) digits, any digit outside
+ASCII ``0``-``9``, any coefficient it would read or build of more than
 :data:`MAX_PARSE_BITS` bits, and division by zero, each as a
 ``ValueError`` with its offset.  Each step is bounded by the polynomials
 it builds: ``n1*n2`` and ``d1*d2`` for ``*``, ``n1*d2`` and ``d1*n2`` for
 ``/``, and ``n1*d2``, ``n2*d1``, ``d1*d2`` and the numerator ``n1*d2 +
 n2*d1`` for ``+`` and ``-``.  So a printed value reads back when its
-numbers have at most :data:`MAX_PARSE_DIGITS` digits and its numerator and
+numbers have at most :data:`MAX_PARSE_BITS` bits and its numerator and
 denominator a degree of at most :data:`MAX_PARSE_DEGREE`; and, when it
 prints as a sum of several terms over one power of ``aleph`` (``1/2 +
 3/aleph``), its denominator times itself and times its numerator stay
@@ -105,14 +105,14 @@ MAX_PARSE_DEGREE = 64
 #: Deepest nesting of ``(`` and unary ``-`` that it accepts; it recurses
 #: once per level.
 MAX_PARSE_DEPTH = 100
-#: Most bits of any coefficient it would build along the way (about 3010
-#: decimal digits): every value it returns then prints, and approximates
-#: to :data:`MAX_DIGITS` places, within Python's 4300-digit limit on
-#: int-to-str conversion.
+#: Most bits of any coefficient it would read or build along the way (about
+#: 3010 decimal digits): every value it returns then prints, and
+#: approximates to :data:`MAX_DIGITS` places, within Python's 4300-digit
+#: limit on int-to-str conversion.
 MAX_PARSE_BITS = 10_000
 #: Longest run of digits, in an integer or an exponent, that it converts:
-#: 3010, the longest run that always stays below ``2**MAX_PARSE_BITS``.
-MAX_PARSE_DIGITS = len(str(1 << MAX_PARSE_BITS)) - 1
+#: 3011, the digits in ``2**MAX_PARSE_BITS``; a run of more bits is refused.
+MAX_PARSE_DIGITS = len(str(1 << MAX_PARSE_BITS))
 #: Most fractional digits :func:`decimal_approximation` and
 #: ``evidence.log_odds`` compute; the time of a logarithm grows much faster
 #: than its digit count.
@@ -859,14 +859,19 @@ class _Reader:
         raise AssertionError  # unreachable
 
     def _digits(self) -> int:
-        # A run of ASCII digits, its length checked before conversion.
+        # A run of ASCII digits, its length checked before conversion and
+        # its bits after, each failure at the run's offset.
         start = self.pos
         while "0" <= self._peek() <= "9":
             self.pos += 1
         if self.pos - start > MAX_PARSE_DIGITS:
             self.pos = start
             self._fail(f"number has more than {MAX_PARSE_DIGITS} digits")
-        return int(self.text[start : self.pos])
+        n = int(self.text[start : self.pos])
+        if n >> MAX_PARSE_BITS:
+            self.pos = start
+            self._check_bits(n.bit_length())
+        return n
 
     def _parenthesised(self) -> Hyperrational:
         value = self._expr()
@@ -899,6 +904,11 @@ def decimal_approximation(value: Hyperrational, digits: int = 6) -> str:
     """
     _check_digits(digits)
     p, q = value._standard_terms()
+    return _rounded(p, q, digits)
+
+
+def _rounded(p: int, q: int, digits: int) -> str:
+    """``p / q``, ``q > 0``, rounded half-even to ``digits`` places; never ``-0``."""
     m, r = divmod(p * 10**digits, q)
     if 2 * r > q or (2 * r == q and m & 1):
         m += 1

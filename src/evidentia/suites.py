@@ -39,6 +39,7 @@ from .dsl.compiler import compile_model, lower_predicate
 from .dsl.diagnostics import ModelError
 from .dsl.parser import parse_model
 from .evidence import (
+    Odds,
     check_product_rule,
     check_sum_rule,
     conditional_probability,
@@ -261,15 +262,15 @@ def _defined(runner: Callable[[], object]):
 
 def _comparable_result(kind: str, runner: Callable[[], object]):
     """An engine answer as plain values: a ``Fraction`` for a probability
-    or finite odds, ``"infinite-odds"``, a tuple of rows for a table, and
-    None for an undefined answer."""
+    or finite odds, ``str`` of infinite odds, a tuple of rows for a table,
+    and None for an undefined answer."""
     result = _defined(runner)
     if result is None:
         return None
     if kind in ("P", "P_cond"):
         return result.as_fraction()
     if kind == "O":
-        return "infinite-odds" if result.is_infinite else result.ratio.as_fraction()
+        return str(result) if result.is_infinite else result.ratio.as_fraction()
     if kind == "L":
         return (result.odds.as_fraction(), result.approx)
     if kind == "table":
@@ -442,7 +443,7 @@ def _oracle_conditional(dims, pred, given, bounds: _Bounds | None = None):
 def _odds_form(p: Fraction):
     """The odds ``p / (1 - p)`` of a probability, in the form
     ``_comparable_result`` gives an engine's odds."""
-    return "infinite-odds" if p == 1 else p / (1 - p)
+    return str(Odds(None)) if p == 1 else p / (1 - p)
 
 
 def oracle_equivalence_suite(
@@ -603,17 +604,6 @@ def builtin_models() -> list[tuple[str, ast.Model]]:
     ]
 
 
-_DEFAULT_COUNTS = {
-    "laws": 10000,
-    "sum": 200,
-    "additivity": 1000,
-    "product_random": 1000,
-    "odds": 500,
-    "monotonicity": 1000,
-    "oracle": 1000,
-}
-
-
 def run_all(
     seed: int = DEFAULT_SEED,
     instances: int | None = None,
@@ -621,26 +611,23 @@ def run_all(
 ) -> list[SuiteResult]:
     """Run every suite with per-suite RNGs derived from ``seed``.
 
-    ``instances`` overrides the randomized case counts uniformly (0 means
-    an empty run); instance-limited runs also shrink the exhaustive
+    ``instances`` overrides each randomized suite's own default count (0
+    means an empty run); instance-limited runs also shrink the exhaustive
     product-rule pass from 12 atoms to 8.
     """
     if instances == 0:
         return []
-    counts = {
-        key: (instances if instances is not None else default)
-        for key, default in _DEFAULT_COUNTS.items()
-    }
+    n = () if instances is None else (instances,)
     exhaustive_atoms = 12 if instances is None else 8
     models = builtin_models() + list(extra_models)
     return [
-        hyperrational_laws_suite(random.Random(seed + 1), counts["laws"]),
-        sum_rule_suite(random.Random(seed + 2), counts["sum"]),
-        additivity_suite(random.Random(seed + 3), counts["additivity"]),
+        hyperrational_laws_suite(random.Random(seed + 1), *n),
+        sum_rule_suite(random.Random(seed + 2), *n),
+        additivity_suite(random.Random(seed + 3), *n),
         product_rule_exhaustive_suite(exhaustive_atoms),
-        product_rule_random_suite(random.Random(seed + 4), counts["product_random"]),
-        odds_reciprocity_suite(random.Random(seed + 5), counts["odds"]),
-        monotonicity_suite(random.Random(seed + 6), counts["monotonicity"]),
+        product_rule_random_suite(random.Random(seed + 4), *n),
+        odds_reciprocity_suite(random.Random(seed + 5), *n),
+        monotonicity_suite(random.Random(seed + 6), *n),
         scale_invariance_suite(models),
-        oracle_equivalence_suite(random.Random(seed + 7), counts["oracle"], models),
+        oracle_equivalence_suite(random.Random(seed + 7), *n, models=models),
     ]

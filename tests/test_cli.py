@@ -286,6 +286,34 @@ def test_parse_missing_file_is_io_error(capsys):
     assert run(capsys, "parse", "nope.evd")[0] == 2
 
 
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path):
+    source = fixtures.source("deck")
+    plain, marked = tmp_path / "plain.evd", tmp_path / "marked.evd"
+    plain.write_text(source, encoding="utf-8")
+    marked.write_text(source, encoding="utf-8-sig")
+    for argv in (["eval"], ["eval", "--format", "json"], ["parse", "--dump-ast"]):
+        expected = run(capsys, *argv, str(plain))
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, *argv, str(marked)) == expected, argv
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('model "x" {\n  \ufeffdimension r = {A}\n}', "2:3"),
+        ('\ufeffmodel "x" { dimension r = {A} }', "1:1"),
+    ],
+    ids=["inside", "second-mark"],
+)
+def test_a_byte_order_mark_elsewhere_is_a_diagnostic(capsys, tmp_path, text, where):
+    model = tmp_path / "m.evd"
+    model.write_text(text, encoding="utf-8-sig")
+    for command in ("eval", "parse"):
+        code, _, err = run(capsys, command, str(model))
+        assert code == 1
+        assert f"{model}:{where}: error: unexpected character " + r"'\ufeff'" in err
+
+
 def test_parse_does_not_import_the_suites(fixture_path):
     # Only `check` needs the verification suites; `parse` and `eval` skip
     # their import.

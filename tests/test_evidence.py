@@ -1,5 +1,6 @@
 """Tests for the measures and their derived rules."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -188,6 +189,45 @@ def test_log_odds_refuses_digits_past_the_limit_before_any_work():
         for digits in (MAX_DIGITS + 1, 3000, 10**9):
             with pytest.raises(ValueError, match=f"^digits must be at most {MAX_DIGITS}$"):
                 log_odds(prop, digits=digits)
+
+
+def _reference_log_decimal(ratio: Fraction, digits: int, base: str) -> str:
+    # The logarithm log_odds takes, rounded by Decimal.quantize instead.
+    p, q = ratio.numerator, ratio.denominator
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 20 + len(str(len(str(p)) + len(str(q))))
+        value = decimal.Decimal(p).ln() - decimal.Decimal(q).ln()
+        if base != "e":
+            value /= decimal.Decimal(int(base)).ln()
+        rounded = value.quantize(
+            decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN
+        )
+    return format(rounded if rounded else abs(rounded), "f")
+
+
+def test_log_odds_rounds_as_decimal_quantize_does():
+    rng = random.Random(20)
+    # Odds 1000/1001 and 1001/1000 round to zero at few digits, and odds 1
+    # is exactly zero: none of them prints "-0".
+    pairs = [(1000, 2001), (1001, 2001), (1, 2)]
+    for _ in range(60):
+        n = rng.randint(2, 400)
+        pairs.append((rng.randint(1, n - 1), n))
+    spaces = {}
+    for k, n in pairs:
+        for scaled in (False, True):
+            if (n, scaled) not in spaces:
+                labels = [f"u{i}" for i in range(n)]
+                spaces[n, scaled] = (
+                    build_scaled_space(labels, name="u")
+                    if scaled
+                    else build_finite_space([("u", labels)])
+                )
+            prop = spaces[n, scaled].proposition(range(k))
+            for base in ("e", "2", "10"):
+                for digits in (0, 1, 2, 3, 6, rng.randint(4, 60), 60):
+                    expected = _reference_log_decimal(Fraction(k, n - k), digits, base)
+                    assert log_odds(prop, digits, base).approx == expected, (k, n, scaled, base, digits)
 
 
 def test_log_odds_undefined_cases():

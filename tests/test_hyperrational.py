@@ -342,8 +342,19 @@ def test_parse_bounds_nesting_depth():
 
 def test_parse_bounds_digit_runs():
     limit = MAX_PARSE_DIGITS
-    assert Hyperrational.parse("9" * limit) == Hyperrational(10**limit - 1)
+    # The longest run is that of 10**3010, a coefficient of MAX_PARSE_BITS
+    # bits; a run of that length with more bits is refused at its offset.
+    assert Hyperrational.parse("1" + "0" * (limit - 1)) == Hyperrational(10 ** (limit - 1))
+    assert Hyperrational.parse("9" * (limit - 1)) == Hyperrational(10 ** (limit - 1) - 1)
     assert Hyperrational.parse("aleph^" + "0" * (limit - 1) + "1") == ALEPH
+    with pytest.raises(
+        ValueError,
+        match=(
+            r"^bad hyperrational literal at offset 2: coefficients of up to 10003 bits "
+            rf"are above the limit of {MAX_PARSE_BITS}$"
+        ),
+    ):
+        Hyperrational.parse("1/" + "9" * limit)
     message = rf"bad hyperrational literal at offset \d+: number has more than {limit} "
     for length in (limit + 1, 5000):
         for long in ("9" * length, "aleph^" + "0" * (length - 1) + "1"):
@@ -384,10 +395,12 @@ def test_parse_bounds_the_coefficients_it_builds():
         f"1/{'9' * 1495} + 1/{'1' + '0' * 1493 + '1'}",
         # A quotient whose sides together pass the degree limit.
         "(aleph^32 + 1)/(aleph^64 + 3)",
-        # Two coefficients of MAX_PARSE_DIGITS digits at distinct degrees.
-        f"{'9' * MAX_PARSE_DIGITS}*(aleph + 1)",
+        # Two coefficients of 3010 digits at distinct degrees.
+        f"{'9' * 3010}*(aleph + 1)",
+        # A coefficient of MAX_PARSE_BITS bits that prints as 3011 digits.
+        "1" + "0" * 3009 + "*10",
     ],
-    ids=["bits", "degree", "distinct-degrees"],
+    ids=["bits", "degree", "distinct-degrees", "longest-run"],
 )
 def test_parse_reads_back_what_it_returned(text):
     value = Hyperrational.parse(text)
@@ -395,11 +408,11 @@ def test_parse_reads_back_what_it_returned(text):
 
 
 def test_parse_bounds_a_sum_where_its_terms_share_a_degree():
-    nines = "9" * MAX_PARSE_DIGITS
+    nines = "9" * 3010
     # 2 * (10**3010 - 1) has 10001 bits; at distinct degrees nothing adds.
     with pytest.raises(ValueError, match="coefficients of up to 10001 bits"):
         Hyperrational.parse(f"{nines} + {nines}")
-    assert Hyperrational.parse(f"{nines}*aleph + {nines}") == (10**MAX_PARSE_DIGITS - 1) * (ALEPH + 1)
+    assert Hyperrational.parse(f"{nines}*aleph + {nines}") == (10**3010 - 1) * (ALEPH + 1)
 
 
 def _sparse(terms):
@@ -412,7 +425,8 @@ def _sparse(terms):
 
 _near_limit_coefficients = st.one_of(
     st.integers(1, 9),
-    st.integers(1, MAX_PARSE_DIGITS).map(lambda n: 10**n - 1),
+    # 10**3011 - 1 has more than MAX_PARSE_BITS bits; 10**3010 + 1 does not.
+    st.integers(1, MAX_PARSE_DIGITS - 1).map(lambda n: 10**n - 1),
     st.integers(1, MAX_PARSE_DIGITS).map(lambda n: 10 ** (n - 1) + 1),
 )
 _terms = st.lists(
