@@ -277,7 +277,10 @@ class _Parser:
         if len(tok.text.replace(".", "")) > MAX_NUMBER_DIGITS:
             self.error(f"number has more than {MAX_NUMBER_DIGITS} digits", tok.span)
             raise _Resync
-        return Fraction(tok.text), tok
+        # The lexer's [0-9]+(\.[0-9]+)? as digits over a power of ten, which
+        # skips the string parsing Fraction(text) would do.
+        whole, _, decimals = tok.text.partition(".")
+        return Fraction(int(whole + decimals), 10 ** len(decimals)), tok
 
     def parse_continuum(self) -> ast.ContinuumDecl:
         start = self.advance().span

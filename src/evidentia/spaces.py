@@ -29,7 +29,9 @@ tranches.  :meth:`Dimension.compare` resolves an ordering comparison to
 whole cells: a threshold on a tranche boundary is exact (a bare boundary
 point weighs one atom, below tranche resolution), while a threshold
 strictly inside a tranche, or on a boundary the dimension was not cut at,
-is an error rather than a silent approximation.
+is an error rather than a silent approximation.  Positions and labels are
+computed in integers over one common denominator of the grid, so neither
+builds a ``Fraction``.
 
 Propositions are immutable subsets of one space's cells, stored as one
 ``int`` bitmask with bit ``i`` for cell ``i`` and combined with ``&``
@@ -59,6 +61,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, islice, product
+from math import gcd
+from numbers import Rational
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .hyperrational import ALEPH, Hyperrational
@@ -71,7 +75,12 @@ class Dimension:
     ``grid``, when present, is ``(low, width)``: atom ``i`` along the axis
     stands for the half-open interval ``[low + i*width, low + (i+1)*width)``.
     Continuum declarations discretised into equal tranches carry it so
-    numeric comparisons can resolve to whole cells.
+    numeric comparisons can resolve to whole cells.  Its ends are exact
+    (``int`` or ``Fraction``; a ``float`` is a ``TypeError``) and its width
+    is positive.  Positions and labels are computed in integers over one
+    common denominator: atom ``i`` starts at ``(base + i*step)/scale``, so
+    placing a threshold is one ``divmod`` and printing a bound one ``gcd``,
+    and neither builds a ``Fraction``.
 
     ``weights``, when present, gives each label's atom count: label ``j``
     covers the consecutive atoms from ``offsets[j]`` up to
@@ -84,6 +93,15 @@ class Dimension:
     grid: tuple[Fraction, Fraction] | None = None
     weights: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.grid is not None:
+            _require_exact(self.name, *self.grid)
+            if self.grid[1] <= 0:
+                raise ValueError(
+                    f"grid of {self.name!r} needs a positive tranche width, "
+                    f"not {self.grid[1]}"
+                )
+
     @cached_property
     def index(self) -> dict[str, int]:
         """Position of each label, built on first use and then kept."""
@@ -93,6 +111,11 @@ class Dimension:
     def offsets(self) -> tuple[int, ...]:
         """First atom of each label, then the atom count."""
         return tuple(accumulate(self.weights or [1] * len(self.labels), initial=0))
+
+    @cached_property
+    def _steps(self) -> tuple[int, int, int]:
+        """The grid as integers ``(base, step, scale)``."""
+        return _integer_grid(self.grid)
 
     @property
     def size(self) -> int:
@@ -104,7 +127,7 @@ class Dimension:
         tranche ``[lo,hi)`` computed from the grid."""
         if self.weights is None:
             return self.labels[atom]
-        return _grid_label(self.grid, atom, atom + 1)
+        return _grid_label(self._steps, atom, atom + 1)
 
     @classmethod
     def continuum(
@@ -114,16 +137,29 @@ class Dimension:
         tranches, cut at each of ``thresholds`` that falls on a tranche
         boundary: one cell per run between two cuts, weighted with its
         tranche count, or one per tranche (``weights`` ``None``) when every
-        tranche is cut."""
-        grid = (low, (high - low) / tranches)
+        tranche is cut.  Raises ``TypeError`` for an end that is not an
+        ``int`` or ``Fraction`` or a tranche count that is not an ``int``,
+        and ``ValueError`` for fewer than one tranche or ``low >= high``."""
+        _require_exact(name, low, high)
+        if not isinstance(tranches, int):
+            raise TypeError(f"{name!r} needs a whole number of tranches, not {tranches!r}")
+        if tranches < 1:
+            raise ValueError(f"{name!r} needs at least one tranche, not {tranches}")
+        if low >= high:
+            raise ValueError(f"continuum {name!r} needs low below high ({low} >= {high})")
+        low_n, low_d = low.numerator, low.denominator
+        high_n, high_d = high.numerator, high.denominator
+        width = Fraction(high_n * low_d - low_n * high_d, low_d * high_d * tranches)
+        grid = (Fraction(low_n, low_d), width)
+        steps = _integer_grid(grid)
         cuts = {0, tranches}
         for value in thresholds:
-            k = _position(grid, tranches, value)
-            if k == int(k):
-                cuts.add(int(k))
+            k, whole = _position(steps, tranches, value)
+            if whole:
+                cuts.add(k)
         edges = sorted(cuts)
         runs = list(zip(edges, edges[1:]))
-        labels = tuple(_grid_label(grid, a, b) for a, b in runs)
+        labels = tuple(_grid_label(steps, a, b) for a, b in runs)
         weights = None if len(runs) == tranches else tuple(b - a for a, b in runs)
         return cls(name, labels, grid, weights)
 
@@ -132,13 +168,16 @@ class Dimension:
         of ``<``, ``<=``, ``>``, ``>=``.  Tranches below the cut at
         ``value`` lie inside ``x < value`` and ``x <= value``, those from it
         on inside ``x > value`` and ``x >= value``.  Raises ``ValueError``
-        when the dimension has no grid, when ``value`` falls inside a
-        tranche, or when the dimension was not cut there."""
+        for any other ``op``, when the dimension has no grid, when ``value``
+        falls inside a tranche, or when the dimension was not cut there."""
+        if op not in _ORDER_OPS:
+            raise ValueError(
+                f"unknown comparison {op!r} on {self.name!r}; use one of <, <=, >, >="
+            )
         if self.grid is None:
             raise ValueError(f"{self.name!r} has no numeric order to compare against")
-        k = _position(self.grid, self.size, value)
-        i = int(k)
-        if k != i:
+        i, whole = _position(self._steps, self.size, value)
+        if not whole:
             raise ValueError(
                 f"threshold {value} splits tranche {self.atom_label(i)} of "
                 f"{self.name!r}; rebuild with a finer tranche count"
@@ -152,19 +191,59 @@ class Dimension:
         return range(j) if op in ("<", "<=") else range(j, len(self.labels))
 
 
-def _position(grid: tuple[Fraction, Fraction], n: int, value: Fraction) -> Fraction:
-    # A threshold sits this many tranche widths above the grid's low end,
-    # clamped to its n tranches: a whole position is a cut between
-    # tranches, any other falls inside tranche int(position).
+_ORDER_OPS = frozenset(("<", "<=", ">", ">="))
+
+
+def _require_exact(name: str, *values) -> None:
+    for value in values:
+        if not isinstance(value, Rational):
+            raise TypeError(
+                f"{name!r} needs exact numbers, not {value!r}; use integers or Fraction"
+            )
+
+
+def _integer_grid(grid: tuple[Fraction, Fraction]) -> tuple[int, int, int]:
+    # (base, step, scale) over the common denominator of low and width:
+    # grid atom i starts at (base + i*step)/scale.
     low, width = grid
-    return min(max((value - low) / width, 0), n)
+    return (
+        low.numerator * width.denominator,
+        width.numerator * low.denominator,
+        low.denominator * width.denominator,
+    )
 
 
-def _grid_label(grid: tuple[Fraction, Fraction], start: int, stop: int) -> str:
+def _position(steps: tuple[int, int, int], n: int, value: Fraction) -> tuple[int, bool]:
+    # How many of the n tranches lie below a threshold, clamped to 0..n,
+    # and whether it sits on their boundary: (k, True) is the cut before
+    # tranche k, (k, False) a point inside tranche k.
+    try:
+        p, q = value.numerator, value.denominator
+    except AttributeError:
+        raise TypeError(
+            f"threshold {value!r} is not exact; use integers or Fraction"
+        ) from None
+    base, step, scale = steps
+    above = p * scale - base * q
+    if above <= 0:
+        return 0, True
+    k, rest = divmod(above, step * q)
+    return (n, True) if k >= n else (k, not rest)
+
+
+def _grid_label(steps: tuple[int, int, int], start: int, stop: int) -> str:
     """The interval ``[lo,hi)`` that grid atoms ``start`` up to ``stop``
     cover, in exact rationals: ``[44,45)``, ``[1/2,1)``."""
-    low, width = grid
-    return f"[{low + width * start},{low + width * stop})"
+    base, step, scale = steps
+    return f"[{_ratio(base + step * start, scale)},{_ratio(base + step * stop, scale)})"
+
+
+def _ratio(numerator: int, denominator: int) -> str:
+    # In lowest terms, printed as Fraction prints it: n, or n/d.
+    g = gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
 
 
 class Atom(NamedTuple):

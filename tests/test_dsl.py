@@ -121,6 +121,33 @@ def test_parse_decimal_endpoints():
     assert (decl.low, decl.high) == (Fraction(1, 2), Fraction(9, 4))
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0", "7", "44", "007", "2.50", "0.0", "00.010", "1" + "0" * 999, "9" * 600 + "." + "9" * 400],
+)
+def test_number_literals_read_as_their_exact_value(text):
+    top = "9" * 1000
+    model = parse_model(
+        f'model "q" {{ continuum x from {text} to {top} tranches 1 }}\nquery P(x < {text})'
+    )
+    decl, value = model.declarations[0], model.queries[0].predicate.value
+    assert (decl.low, decl.high, value) == (Fraction(text), Fraction(top), Fraction(text))
+    assert type(decl.low) is type(value) is Fraction
+    if Fraction(text):
+        model = parse_model(f'model "q" {{ continuum y from 0 to {text} tranches 1 }}')
+        assert model.declarations[0].high == Fraction(text)
+
+
+@pytest.mark.parametrize("digits", ["1" + "0" * 1000, "9" * 1001, "9" * 500 + "." + "9" * 501])
+def test_number_literal_over_the_digit_limit_is_a_diagnostic(digits):
+    source = f'model "q" {{ continuum x from 0 to 1 tranches 1 }}\nquery P(x < {digits})'
+    start = source.index(digits)
+    [diagnostic] = diagnostics_of(source)
+    assert diagnostic.message == "number has more than 1000 digits"
+    assert (diagnostic.span.start, diagnostic.span.end) == (start, start + len(digits))
+    assert (diagnostic.span.line, diagnostic.span.column) == (2, len("query P(x < ") + 1)
+
+
 def test_empty_model_parses_but_is_degenerate():
     model = parse_model('model "x" {}')
     assert model.declarations == ()

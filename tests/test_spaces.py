@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import doctest
 import pickle
+import random
 import time
 from fractions import Fraction
 
@@ -157,6 +158,154 @@ def test_compare_messages():
     with pytest.raises(ValueError) as exc:
         Dimension("rank", ("A", "K")).compare("<", Fraction(3))
     assert str(exc.value) == "'rank' has no numeric order to compare against"
+
+
+@pytest.mark.parametrize("op", ["==", "!=", "=<", "lt", "", "<<"])
+def test_compare_refuses_unknown_operators(op):
+    dim = continuum(["4", "7"])
+    with pytest.raises(ValueError) as exc:
+        dim.compare(op, 4)
+    assert str(exc.value) == (
+        f"unknown comparison {op!r} on 'x'; use one of <, <=, >, >="
+    )
+    # Checked first: an unordered dimension names the operator too.
+    with pytest.raises(ValueError, match="unknown comparison"):
+        Dimension("rank", ("A", "K")).compare(op, 3)
+
+
+def test_continuum_refuses_a_grid_it_cannot_cut():
+    for low, high, tranches, message in [
+        (0, 10, 0, "'x' needs at least one tranche, not 0"),
+        (0, 10, -3, "'x' needs at least one tranche, not -3"),
+        (5, 5, 2, "continuum 'x' needs low below high (5 >= 5)"),
+        (Fraction(9, 2), 3, 2, "continuum 'x' needs low below high (9/2 >= 3)"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Dimension.continuum("x", low, high, tranches, [1])
+        assert str(exc.value) == message
+    for low, high, tranches, message in [
+        (0.0, 1, 4, "'x' needs exact numbers, not 0.0; use integers or Fraction"),
+        (0, 0.5, 4, "'x' needs exact numbers, not 0.5; use integers or Fraction"),
+        (0, 1, 4.0, "'x' needs a whole number of tranches, not 4.0"),
+    ]:
+        with pytest.raises(TypeError) as exc:
+            Dimension.continuum("x", low, high, tranches)
+        assert str(exc.value) == message
+
+
+def test_dimension_refuses_a_grid_without_positive_exact_width():
+    for grid in [(0, 0), (Fraction(1, 2), Fraction(0)), (3, -1), (0, Fraction(-1, 4))]:
+        with pytest.raises(ValueError) as exc:
+            Dimension("x", ("a",), grid)
+        assert str(exc.value) == f"grid of 'x' needs a positive tranche width, not {grid[1]}"
+    for grid in [(0.0, 1), (0, 0.25)]:
+        with pytest.raises(TypeError, match="'x' needs exact numbers, not 0"):
+            Dimension("x", ("a",), grid)
+
+
+def test_a_float_threshold_is_refused():
+    dim = continuum(["4"])
+    with pytest.raises(TypeError) as exc:
+        dim.compare("<", 4.0)
+    assert str(exc.value) == "threshold 4.0 is not exact; use integers or Fraction"
+    with pytest.raises(TypeError, match="threshold 0.5 is not exact"):
+        Dimension.continuum("x", 0, 1, 4, [0.5])
+
+
+def reference_continuum(low, high, tranches, thresholds):
+    """Labels, weights, grid and a compare function for the continuum,
+    computed with Fraction arithmetic alone."""
+    low, high = Fraction(low), Fraction(high)
+    width = (high - low) / tranches
+
+    def position(t):
+        return min(max((t - low) / width, 0), tranches)
+
+    def label(a, b):
+        return f"[{low + width * a},{low + width * b})"
+
+    cuts = sorted({0, tranches} | {int(k) for k in map(position, thresholds) if k == int(k)})
+    runs = list(zip(cuts, cuts[1:]))
+    weights = None if len(runs) == tranches else tuple(b - a for a, b in runs)
+
+    def compare(op, t):
+        k = position(t)
+        if k != int(k):
+            i = int(k)
+            return (
+                f"threshold {t} splits tranche {label(i, i + 1)} of 'x'; "
+                "rebuild with a finer tranche count"
+            )
+        if k not in cuts:
+            return (
+                f"threshold {t} is not a cut of 'x' in this compiled space; "
+                "compile the comparison as part of the model"
+            )
+        j = cuts.index(k)
+        return range(j) if op in ("<", "<=") else range(j, len(runs))
+
+    return tuple(label(a, b) for a, b in runs), weights, (low, width), compare
+
+
+def sample_thresholds(rng, low, high, tranches):
+    """Thresholds on the grid, inside a tranche, beyond both ends and
+    anywhere, each as a Fraction and, where it is whole, as an int."""
+    low, high = Fraction(low), Fraction(high)
+    width = (high - low) / tranches
+    on_grid = [low + width * rng.randint(0, tranches) for _ in range(3)]
+    inside = [low + width * (rng.randint(0, tranches - 1) + Fraction(rng.randint(1, 9), 10))]
+    beyond = [low - rng.randint(0, 5), high + rng.randint(0, 5), low - width / 3, high + width / 3]
+    anywhere = [Fraction(rng.randint(-20000, 20000), rng.choice([1, 2, 10, 7]))]
+    values = on_grid + inside + beyond + anywhere + [low, high]
+    return values + [int(v) for v in values if v.denominator == 1]
+
+
+def assert_matches_reference(low, high, tranches, thresholds, probes):
+    labels, weights, grid, compare = reference_continuum(low, high, tranches, thresholds)
+    dim = Dimension.continuum("x", low, high, tranches, thresholds)
+    assert (dim.labels, dim.weights, dim.grid) == (labels, weights, grid)
+    assert all(type(part) is Fraction for part in dim.grid)
+    for t in probes:
+        for op in ("<", "<=", ">", ">="):
+            expected = compare(op, t)
+            if isinstance(expected, range):
+                assert dim.compare(op, t) == expected
+            else:
+                with pytest.raises(ValueError) as exc:
+                    dim.compare(op, t)
+                assert str(exc.value) == expected
+
+
+def grid_ends(rng):
+    """Negative, whole and decimal ends, and a tranche count of 1 to 10^4."""
+    low = Fraction(rng.randint(-10**4, 10**4), rng.choice([1, 10, 100, 1000, 3, 7]))
+    high = low + Fraction(rng.randint(1, 10**4), rng.choice([1, 10, 100, 4, 9]))
+    tranches = rng.choice([1, 2, 3, rng.randint(1, 100), rng.randint(1, 10**4), 10**4])
+    return low, high, tranches
+
+
+def test_integer_grid_matches_fraction_reference_seeded():
+    rng = random.Random(20241)
+    for _ in range(400):
+        low, high, tranches = grid_ends(rng)
+        thresholds = sample_thresholds(rng, low, high, tranches)
+        cut = rng.sample(thresholds, rng.randint(0, len(thresholds)))
+        probes = sample_thresholds(rng, low, high, tranches) + cut
+        assert_matches_reference(low, high, tranches, cut, probes)
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_integer_grid_matches_fraction_reference(rng, whole_ends):
+    low, high, tranches = grid_ends(rng)
+    if whole_ends:
+        low, high = int(low), int(low) + max(1, int(high - low))
+    thresholds = sample_thresholds(rng, low, high, tranches)
+    assert_matches_reference(low, high, tranches, thresholds, thresholds)
+    # Every tranche cut: each label is one tranche, and weights are None.
+    if tranches <= 50:
+        width = Fraction(high - low) / tranches
+        every = [low + width * k for k in range(tranches + 1)]
+        assert_matches_reference(low, high, tranches, every, thresholds)
 
 
 # -- scaled spaces ---------------------------------------------------------------
