@@ -199,16 +199,27 @@ def check_sum_rule(prop: Proposition) -> CheckReport:
 def check_product_rule(prop: Proposition, given: Proposition) -> CheckReport:
     """P(A|B) = P(A and B) / P(B), checked exactly; skipped when E(B) = 0,
     which is when B holds no atom: an atom's evidence is positive.
+    Propositions of two spaces raise ``ValueError``, skipped or not.
 
-    Both sides are rendered to ``detail`` only when they differ: the
-    suites read it for failures alone, and a passing report's is empty."""
-    if not given.count:
+    The right-hand side depends on the count pair ``(|A and B|, |B|)``
+    alone, so each space divides it once per count pair and keeps it; ``&``,
+    ``count``, P(A|B) and the comparison run for every call, and no
+    verdict is kept.  Both sides are rendered to ``detail`` only when they
+    differ: the suites read it for failures alone, and a passing report's
+    is empty."""
+    meet = prop & given  # refuses two spaces before anything is skipped
+    reference = given.count
+    if not reference:
         return CheckReport(
             "product rule", True, "skipped: E(B) = 0, conditioning undefined",
             skipped=True,
         )
     lhs = conditional_probability(prop, given)
-    rhs = probability(prop & given) / probability(given)
+    known = prop.space._quotients
+    key = (meet.count, reference)
+    rhs = known.get(key)
+    if rhs is None:
+        rhs = known[key] = probability(meet) / probability(given)
     if lhs == rhs:
         return _PRODUCT_RULE_HOLDS
     return CheckReport("product rule", False, f"P(A|B) = {lhs}; P(AB)/P(B) = {rhs}")

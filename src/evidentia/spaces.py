@@ -41,16 +41,18 @@ only relative to the model that produced its space, so cross-space
 operations raise instead of silently coercing.
 
 Everything here is immutable after construction and safe to share between
-threads, with one cache of three tables per space.  Each space keeps the
+threads, with one cache of four tables per space.  Each space keeps the
 evidence values and the probabilities that ``evidence.evidence`` and
 ``evidence.probability`` have computed on it, keyed by atom count, since on
 one space both depend on the count alone: each holds one entry per distinct
-count asked about, at most ``size + 1``.  It also keeps the conditional
-probabilities ``evidence.conditional_probability`` has computed, keyed by
-the count pair ``(|A and B|, |B|)``: one entry per distinct pair asked
-about, at most ``(size + 1)(size + 2)/2``.  The tables stay thread-safe
-because their entries are idempotent: two threads that miss on one key
-compute equal values, and either store is right.
+count asked about, at most ``size + 1``.  It also keeps two tables keyed by
+the count pair ``(|A and B|, |B|)``, each with one entry per distinct pair
+asked about, at most ``(size + 1)(size + 2)/2``: the conditional
+probabilities ``evidence.conditional_probability`` has computed, and the
+right-hand quotients P(A and B)/P(B) of ``evidence.check_product_rule``.
+The tables stay thread-safe because their entries are idempotent: two
+threads that miss on one key compute equal values, and either store is
+right.
 """
 
 from __future__ import annotations
@@ -312,8 +314,11 @@ class PossibilitySpace:
         self._count = partial(_weighted, groups=groups) if groups else int.bit_count
         self._evidence: dict[int, Hyperrational] = {}  # evidence.evidence's
         self._probabilities: dict[int, Hyperrational] = {}  # evidence.probability's
-        # evidence.conditional_probability's, keyed by (|A and B|, |B|)
+        # Keyed by (|A and B|, |B|): evidence.conditional_probability's, and
+        # evidence.check_product_rule's P(AB)/P(B), divided once per key.
+        # The check still runs &, count, P(A|B) and == for every pair.
         self._conditionals: dict[tuple[int, int], Hyperrational] = {}
+        self._quotients: dict[tuple[int, int], Hyperrational] = {}
 
     @property
     def dimensions(self) -> tuple[Dimension, ...]:

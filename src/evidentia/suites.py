@@ -18,10 +18,11 @@ order are the first pairs of each that a walk over all pairs meets.  The
 case count is the number of pairs decided, ``sum of 4^n``.  The full walk
 up to 6 atoms stays because it is the only part of the pass that puts
 every mask pair through ``&`` and ``count``, so it can catch a
-mask-dependent defect that no signature representative can.  The engine
-side of a pair, P(A|B), is computed once per signature per space (each
-space keeps it by count pair), while ``&``, ``count`` and the right-hand
-division P(AB)/P(B) still run for every pair, and no verdict is kept.
+mask-dependent defect that no signature representative can.  Each space
+keeps both sides by count pair, so the division behind P(A|B) and the
+right-hand division P(AB)/P(B) each run once per signature per space,
+while ``&``, ``count``, the engine call P(A|B) and the comparison still run
+for every pair, and no verdict is kept.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ def additivity_suite(rng: random.Random, families: int = 1000) -> SuiteResult:
 def product_rule_exhaustive_suite(max_atoms: int = 12) -> SuiteResult:
     """P(A|B) = P(AB)/P(B) over all proposition pairs of spaces with 1 up
     to ``max_atoms`` atoms: every pair up to 6 atoms, one pair per count
-    signature past that."""
+    signature past that.  Each side's division runs once per signature per
+    space; ``&``, ``count``, P(A|B) and the comparison run for every pair."""
     failures = []
     cases = 0
     for n in range(1, max_atoms + 1):
@@ -612,9 +614,12 @@ def run_all(
     """Run every suite with per-suite RNGs derived from ``seed``.
 
     ``instances`` overrides each randomized suite's own default count (0
-    means an empty run); instance-limited runs also shrink the exhaustive
+    means an empty run, and a negative count raises ``ValueError`` before
+    any suite runs); instance-limited runs also shrink the exhaustive
     product-rule pass from 12 atoms to 8.
     """
+    if instances is not None and instances < 0:
+        raise ValueError(f"instances must be non-negative, not {instances}")
     if instances == 0:
         return []
     n = () if instances is None else (instances,)

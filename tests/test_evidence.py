@@ -420,6 +420,55 @@ def test_product_rule_skip_reason():
     assert "E(B) = 0" in report.detail
 
 
+@pytest.mark.parametrize("given", ["top", "bottom"])
+def test_product_rule_across_spaces_is_an_error_even_when_skippable(given):
+    # An empty B on another space is refused like a non-empty one, not skipped.
+    with pytest.raises(ValueError, match="different spaces"):
+        check_product_rule(deck().top, getattr(deck(), given))
+
+
+def test_a_space_keeps_one_product_rule_quotient_per_count_pair(monkeypatch):
+    # P(AB)/P(B) is divided once per signature (|A and B|, |B|) on a space;
+    # every pair of that signature is still checked against it.
+    space = build_finite_space([("u", [f"u{i}" for i in range(6)])])
+    divisions = []
+    real = Hyperrational.__truediv__
+
+    def counted(self, other):
+        divisions.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Hyperrational, "__truediv__", counted)
+    # three pairs of one signature: |A and B| = 1, |B| = 3
+    for a, b in [(0b000011, 0b010101), (0b100001, 0b111000), (0b100000, 0b100110)]:
+        assert check_product_rule(Proposition(space, a), Proposition(space, b)).passed
+    assert space._quotients == {(1, 3): Hyperrational(1, 3)}
+    # one conditional, two probabilities, one quotient
+    assert len(divisions) == 4
+
+
+def test_skipped_and_refused_product_rule_pairs_keep_no_quotient():
+    space, other = deck(), deck()
+    assert check_product_rule(space.top, space.bottom).skipped
+    with pytest.raises(ValueError, match="different spaces"):
+        check_product_rule(space.top, other.top)
+    with pytest.raises(ValueError, match="different spaces"):
+        check_product_rule(space.top, other.bottom)
+    assert space._quotients == {} and other._quotients == {}
+
+
+def test_finite_and_scaled_spaces_keep_their_own_quotients(monkeypatch):
+    labels = [f"u{i}" for i in range(4)]
+    finite = build_finite_space([("u", labels)])
+    scaled = build_scaled_space(labels, name="u")
+    assert check_product_rule(Proposition(finite, 0b0011), Proposition(finite, 0b0110)).passed
+    assert list(finite._quotients) == [(1, 2)] and scaled._quotients == {}
+    # A quotient kept on the finite space must not answer for the scaled one.
+    monkeypatch.setitem(finite._quotients, (1, 2), Hyperrational(7))
+    assert check_product_rule(Proposition(scaled, 0b0011), Proposition(scaled, 0b0110)).passed
+    assert scaled._quotients == {(1, 2): Hyperrational(1, 2)}
+
+
 # -- additivity and monotonicity ----------------------------------------------------------------
 
 

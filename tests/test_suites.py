@@ -62,6 +62,12 @@ def test_run_all_with_zero_instances_is_empty():
     assert suites.run_all(seed=5, instances=0) == []
 
 
+def test_run_all_refuses_a_negative_count_before_any_suite_runs(monkeypatch):
+    monkeypatch.setattr(suites, "builtin_models", lambda: pytest.fail("run_all went on"))
+    with pytest.raises(ValueError, match="non-negative"):
+        suites.run_all(seed=5, instances=-2)
+
+
 def test_substitution_bound_clears_polynomial_roots():
     from evidentia import ALEPH
 
@@ -100,9 +106,9 @@ def test_exhaustive_product_rule_checks_one_pair_per_count_signature(monkeypatch
 def test_exhaustive_product_rule_renders_nothing_and_multiplies_once_per_count(monkeypatch):
     """Every pair passes, so no side is rendered to text; evidence is kept
     per space and atom count, so a space of n atoms makes at most n + 1
-    multiplications.  Each pair divides once, for its right-hand side: the
-    conditional is kept per space and count pair ``(|A and B|, |B|)`` and
-    the probability per space and atom count."""
+    multiplications.  Both sides are kept per space and count pair
+    ``(|A and B|, |B|)``, and the probability per space and atom count, so
+    a space divides at most twice per signature and once per count."""
     calls = {"__str__": 0, "__mul__": 0, "__truediv__": 0}
     for name in calls:
         real = getattr(Hyperrational, name)
@@ -117,10 +123,9 @@ def test_exhaustive_product_rule_renders_nothing_and_multiplies_once_per_count(m
     assert calls["__mul__"] <= sum(n + 1 for n in range(1, 9))
     divisions = 0
     for n in range(1, 9):
-        # pairs with |B| > 0: every pair up to 6 atoms, then one per signature
-        pairs = 4**n - 2**n if n <= 6 else (n + 1) * (n + 2) // 2 - 1
         signatures = n * (n + 3) // 2  # 0 <= |A and B| <= |B|, 1 <= |B| <= n
-        divisions += pairs + signatures + (n + 1)
+        divisions += 2 * signatures + (n + 1)
+    assert divisions == 356
     assert calls["__truediv__"] <= divisions
 
 
