@@ -128,7 +128,7 @@ def _lower(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
         return ~_lower(space, pred.operand)
     if isinstance(pred, (ast.AndPred, ast.OrPred)):
         join = int.__and__ if isinstance(pred, ast.AndPred) else int.__or__
-        return Proposition(space, reduce(join, [_lower(space, p).mask for p in pred.operands]))
+        return Proposition(space, reduce(join, (_lower(space, p).mask for p in pred.operands)))
     if isinstance(pred, (ast.LabelIs, ast.LabelIn)):
         dim = _find_dimension(space, pred.dimension, pred.span)
         names = (pred.label,) if isinstance(pred, ast.LabelIs) else pred.labels

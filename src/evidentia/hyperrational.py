@@ -58,21 +58,17 @@ Laurent polynomial and prints as a sum of power terms in descending degree:
 prints as an explicit quotient of integer polynomials, such as
 ``(3*aleph + 5)/(4*aleph + 1)``.  :meth:`Hyperrational.parse` reads the
 same syntax back, bit-exactly.  Because its text may come from outside
-the program, it rejects any exponent, and any polynomial it would build
-along the way, of degree above :data:`MAX_PARSE_DEGREE` (64), nesting of
-``(`` and unary ``-`` deeper than :data:`MAX_PARSE_DEPTH` (100), any run
-of more than :data:`MAX_PARSE_DIGITS` (3011) digits, any digit outside
-ASCII ``0``-``9``, any coefficient it would read or build of more than
-:data:`MAX_PARSE_BITS` bits, and division by zero, each as a
-``ValueError`` with its offset.  Each step is bounded by the polynomials
-it builds: ``n1*n2`` and ``d1*d2`` for ``*``, ``n1*d2`` and ``d1*n2`` for
-``/``, and ``n1*d2``, ``n2*d1``, ``d1*d2`` and the numerator ``n1*d2 +
-n2*d1`` for ``+`` and ``-``.  So a printed value reads back when its
-numbers have at most :data:`MAX_PARSE_BITS` bits and its numerator and
-denominator a degree of at most :data:`MAX_PARSE_DEGREE`; and, when it
-prints as a sum of several terms over one power of ``aleph`` (``1/2 +
-3/aleph``), its denominator times itself and times its numerator stay
-within both limits, as the terms are added one at a time.
+the program, it refuses any exponent above :data:`MAX_PARSE_DEGREE` (64)
+and any step whose value has a numerator or denominator of higher degree,
+nesting of ``(`` and unary ``-`` deeper than :data:`MAX_PARSE_DEPTH`
+(100), any run of more than :data:`MAX_PARSE_DIGITS` (3011) digits, any
+digit outside ASCII ``0``-``9``, any number it reads or coefficient of a
+step's value of more than :data:`MAX_PARSE_BITS` bits, and division by
+zero, each as a ``ValueError`` with its offset.  Each step's operands
+are within both limits, so a step builds no more than about twice them.
+The law is one clause: ``parse`` returns only values within both
+limits, and every such value's ``str`` reads back, since each step that
+text takes (a term, a part, a partial sum) is within them too.
 :func:`decimal_approximation` rounds the standard part half-even with one
 integer ``divmod``, to at most :data:`MAX_DIGITS` places.
 
@@ -99,14 +95,14 @@ class MagnitudeClass(Enum):
         return self.value
 
 
-#: Highest exponent, and highest degree of any intermediate polynomial,
-#: that :meth:`Hyperrational.parse` accepts.
+#: Highest exponent, and highest degree of a numerator or denominator at
+#: any step, that :meth:`Hyperrational.parse` accepts.
 MAX_PARSE_DEGREE = 64
 #: Deepest nesting of ``(`` and unary ``-`` that it accepts; it recurses
 #: once per level.
 MAX_PARSE_DEPTH = 100
-#: Most bits of any coefficient it would read or build along the way (about
-#: 3010 decimal digits): every value it returns then prints, and
+#: Most bits of any number it reads and any coefficient of a step's value
+#: (about 3010 decimal digits): every value it returns then prints, and
 #: approximates to :data:`MAX_DIGITS` places, within Python's 4300-digit
 #: limit on int-to-str conversion.
 MAX_PARSE_BITS = 10_000
@@ -693,69 +689,21 @@ def _poly_text(p, shift: int = 0, scale: int = 1) -> str:
     return "".join(chunks)
 
 
-def _products(a: Hyperrational, op: str, b: Hyperrational):
-    # The pairs of polynomials a op b multiplies: n1*n2 and d1*d2 for *,
-    # n1*d2 and d1*n2 for /, and n1*d2, n2*d1 and d1*d2 for + and -.
-    n1, d1, n2, d2 = a._num, a._den, b._num, b._den
-    if op == "*":
-        return (n1, n2), (d1, d2)
-    if op == "/":
-        return (n1, d2), (d1, n2)
-    return (n1, d2), (n2, d1), (d1, d2)
-
-
-def _product_degree(a: Hyperrational, op: str, b: Hyperrational) -> int:
-    # The highest degree of the products that _products lists, from the
-    # lengths alone (a zero numerator counts as degree -1).
-    n1, d1, n2, d2 = len(a._num), len(a._den), len(b._num), len(b._den)
-    if op == "*":
-        return max(n1 + n2, d1 + d2) - 2
-    if op == "/":
-        return max(n1 + d2, d1 + n2) - 2
-    return max(n1 + d2, n2 + d1, d1 + d2) - 2
-
-
-def _product_height(p, q) -> int:
-    # Bounds the absolute value of every coefficient of p*q: each sums at
-    # most min(len(p), len(q)) products of a coefficient of p and one of q.
-    return min(len(p), len(q)) * max(map(abs, p), default=0) * max(map(abs, q), default=0)
-
-
-def _degrees(p, q) -> range:
-    # The degrees at which p*q can have a nonzero term.
-    if not (p and q):
-        return range(0)
-    low = next(i for i, c in enumerate(p) if c) + next(i for i, c in enumerate(q) if c)
-    return range(low, len(p) + len(q) - 1)
-
-
-def _built_height(a: Hyperrational, op: str, b: Hyperrational) -> int:
-    # Bounds the absolute value of every coefficient that a op b builds:
-    # its products, and for + and - the numerator n1*d2 + n2*d1, whose two
-    # products add only at the degrees they share.  Reading a sum of terms
-    # of distinct degrees, as str prints them, is bounded by its terms.
-    products = _products(a, op, b)
-    heights = [_product_height(p, q) for p, q in products]
-    if op in "+-":
-        one, other = _degrees(*products[0]), _degrees(*products[1])
-        if max(one.start, other.start) < min(one.stop, other.stop):
-            heights.append(heights[0] + heights[1])
-    return max(heights)
-
-
-# The products a step checks each multiply one side of a by one side of b,
-# and a coefficient of p*q sums at most 65 < 2**7 products of one
-# coefficient of each: so each product, and the sum of two that + builds,
-# has under 8 bits more than a's and b's largest coefficients together.
-# The reduced route multiplies factors of those sides, and the canonical
-# a op b keeps factors of those products; Mignotte's bound keeps a factor of
-# degree 64 or less within 2**64 * sqrt(65), under 68 bits, times its
-# multiple.  So nothing a step builds has 8 + 2*68 = 144 bits more than a's
-# and b's largest coefficients together.  A digit adds under 5 bits and an
-# operator at least one character, so a value read from n characters has
-# coefficients of under 144*n bits, and no step within the first
-# _UNCHECKED_CHARS characters can pass MAX_PARSE_BITS.
-_UNCHECKED_CHARS = MAX_PARSE_BITS // 144
+# A step's operands a and b each have degree 64 or less.  Its result is in
+# lowest terms, so each of its sides is a primitive factor in Z[x] of a
+# product that a op b forms: n1*n2 or d1*d2 for *, n1*d2 or d1*n2 for /,
+# and d1*d2 or n1*d2 + n2*d1 for + and -.  A coefficient of such a product
+# sums at most 65 products of one coefficient of a and one of b, and +
+# adds two such sums: under 2**8 times a's and b's largest coefficients
+# together, and its 129 coefficients give a 2-norm under 2**4 times that.
+# The result passes the degree check only at degree 64 or less, and by
+# Mignotte's bound a factor of degree 64 or less has coefficients within
+# 2**64 times the product's 2-norm.  So a result has under 8 + 4 + 64 = 76
+# bits more than a's and b's largest coefficients together.  A digit adds
+# under 5 bits and an operator at least one character, so a value read
+# from n characters has coefficients of under 76*n bits, and no step within
+# the first _UNCHECKED_CHARS characters can pass MAX_PARSE_BITS.
+_UNCHECKED_CHARS = MAX_PARSE_BITS // 76
 
 
 class _Reader:
@@ -781,12 +729,12 @@ class _Reader:
         raise ValueError(f"bad hyperrational literal at offset {self.pos}: {message}")
 
     def _check_degree(self, degree: int):
-        # Called before building a polynomial of this degree.
+        # Called before building aleph^degree and after each step.
         if degree > MAX_PARSE_DEGREE:
             self._fail(f"degree {degree} is above the limit of {MAX_PARSE_DEGREE}")
 
     def _check_bits(self, bits: int):
-        # Called before building coefficients of up to this many bits.
+        # Called on a number read and, past _UNCHECKED_CHARS, after each step.
         if bits > MAX_PARSE_BITS:
             self._fail(
                 f"coefficients of up to {bits} bits are above the limit of "
@@ -818,13 +766,14 @@ class _Reader:
             self._skip_ws()
             start = self.pos
             rhs = operand()
-            self._check_degree(_product_degree(value, op, rhs))
-            if self.pos > _UNCHECKED_CHARS:
-                self._check_bits(_built_height(value, op, rhs).bit_length())
             if op == "/" and not rhs:
                 self.pos = start
                 self._fail("division by zero")
             value = ops[op](value, rhs)
+            num, den = value._num, value._den
+            self._check_degree(max(len(num), len(den)) - 1)
+            if self.pos > _UNCHECKED_CHARS:
+                self._check_bits(max(map(abs, num + den)).bit_length())
 
     def _factor(self) -> Hyperrational:
         self._skip_ws()

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from evidentia import Hyperrational
 from evidentia.cli import main
+from evidentia.hyperrational import MAX_PARSE_BITS, MAX_PARSE_DEGREE
 
 # Generous next to the few milliseconds an example takes, so a slow machine
 # does not fail the test, but far below an unbounded run.
@@ -110,4 +111,7 @@ def test_hyperrational_parse_returns_or_raises_value_error(text):
     except (ValueError, ZeroDivisionError):
         return
     assert isinstance(value, Hyperrational)
+    sides = value.numerator_coefficients, value.denominator_coefficients
+    assert max(len(side) for side in sides) - 1 <= MAX_PARSE_DEGREE
+    assert max(abs(c).bit_length() for side in sides for c in side) <= MAX_PARSE_BITS
     assert Hyperrational.parse(str(value)) == value

@@ -301,9 +301,10 @@ def test_parse_reports_division_by_zero(text, offset):
         Hyperrational.parse(text)
 
 
-def test_parse_bounds_sums_by_the_degrees_they_build():
-    # + and - build n1*d2, n2*d1 and d1*d2, not a polynomial of the summed
-    # degrees; * and / keep the summed bound.
+def test_parse_bounds_each_step_by_the_degree_of_its_value():
+    # A step is refused by the degree of the value it returns, not by the
+    # products it forms: the sum of aleph^40, aleph^30 and 1 has degree 40,
+    # and each refused sum below returns a numerator of degree 65.
     value = ALEPH**40 + ALEPH**30 + 1
     assert Hyperrational.parse(str(value)) == value
     limit = MAX_PARSE_DEGREE
@@ -399,8 +400,12 @@ def test_parse_bounds_the_coefficients_it_builds():
         f"{'9' * 3010}*(aleph + 1)",
         # A coefficient of MAX_PARSE_BITS bits that prints as 3011 digits.
         "1" + "0" * 3009 + "*10",
+        # A Laurent sum over aleph^33, printed as 1/aleph^32 + 1/aleph^33.
+        "(aleph + 1)/aleph^33",
+        # A Laurent sum over a denominator of 2800 digits.
+        "(3*aleph + 1)/" + "7" * 2800,
     ],
-    ids=["bits", "degree", "distinct-degrees", "longest-run"],
+    ids=["bits", "degree", "distinct-degrees", "longest-run", "laurent-degree", "laurent-bits"],
 )
 def test_parse_reads_back_what_it_returned(text):
     value = Hyperrational.parse(text)
@@ -448,16 +453,14 @@ _terms = st.lists(
 def test_values_near_both_limits_read_back(terms, monomial, over):
     # One side is a monomial, so no polynomial gcd is needed to build the
     # value.  Over a polynomial, it prints as a quotient.  Under one, it
-    # prints as a sum of terms over the monomial, which is read term by term:
-    # the partial sums multiply the denominator by itself and by the
-    # numerator, so those products are kept within both limits.
+    # prints as a Laurent sum over the monomial, up to aleph^64 and a
+    # coefficient of 3010 digits, which is read term by term: each term and
+    # each partial sum is within both limits when the value is.
     degree, c = monomial
     if over:
         value = Hyperrational._raw((0,) * degree + (c,), _sparse(terms))
     else:
-        poly = _sparse([(d, c // 10**7 or 1) for d, c in terms])
-        degree = min(degree, MAX_PARSE_DEGREE // 2, MAX_PARSE_DEGREE - (len(poly) - 1))
-        value = Hyperrational._raw(poly, (0,) * degree + (c % 10**6 + 1,))
+        value = Hyperrational._raw(_sparse(terms), (0,) * degree + (c,))
     assert Hyperrational.parse(str(value)) == value
 
 
