@@ -23,13 +23,14 @@ from .spaces import PossibilitySpace, Proposition, StateSpacePartition
 
 
 def evidence(prop: Proposition) -> Hyperrational:
-    """Counting measure: how much of the space makes the proposition true.
+    """Counting measure: how much of the space makes the proposition true."""
+    return _evidence(prop.space, prop.count)
 
-    Every atom carries the space's unit cardinality, so on one space the
-    value depends on the atom count alone: each space keeps the values it
-    has computed, by count."""
-    space = prop.space
-    count = prop.count
+
+def _evidence(space: PossibilitySpace, count: int) -> Hyperrational:
+    """Evidence for ``count`` atoms of ``space``.  Every atom carries the
+    space's unit cardinality, so on one space the value depends on the atom
+    count alone: each space keeps the values it has computed, by count."""
     value = space._evidence.get(count)
     if value is None:
         value = space._evidence[count] = space.unit_cardinality * count
@@ -59,25 +60,36 @@ def conditional_probability(prop: Proposition, given: Proposition) -> Hyperratio
     carries ``prop``.
 
     Evidence counts atoms, so on one space the ratio depends on the count
-    pair ``(|A and B|, |B|)`` alone: each space keeps the ratios it has
-    computed, by count pair.  A refusal is never kept: conditioning on a
-    proposition with no evidence, which is one with no atom (an atom's
-    evidence is positive), raises on every call."""
-    space = prop.space
-    if given.space is not space:
-        raise ValueError("propositions belong to different spaces")
+    pair ``(|A and B|, |B|)`` alone, read from the two masks: each space
+    keeps the ratios it has computed, by count pair.  A refusal is never
+    kept: conditioning on a proposition with no evidence, which is one with
+    no atom (an atom's evidence is positive), raises on every call.  An
+    argument that is not a proposition raises ``TypeError``, and
+    propositions of two spaces ``ValueError``."""
+    space = _space_of(prop, given)
     reference = given.count
     if not reference:
         raise ZeroDivisionError(
             "conditioning on impossibility: the reference proposition has zero evidence"
         )
-    meet = prop & given
+    meet = space._count(prop.mask & given.mask)
     known = space._conditionals
-    key = (meet.count, reference)
+    key = (meet, reference)
     value = known.get(key)
     if value is None:
-        value = known[key] = evidence(meet) / evidence(given)
+        value = known[key] = _evidence(space, meet) / _evidence(space, reference)
     return value
+
+
+def _space_of(prop: Proposition, given: Proposition) -> PossibilitySpace:
+    """The one space that both propositions belong to."""
+    if not (isinstance(prop, Proposition) and isinstance(given, Proposition)):
+        stray = given if isinstance(prop, Proposition) else prop
+        raise TypeError(f"expected a Proposition, not {type(stray).__name__}")
+    space = prop.space
+    if given.space is not space:
+        raise ValueError("propositions belong to different spaces")
+    return space
 
 
 def atomic_probability(space: PossibilitySpace) -> Hyperrational:
@@ -198,16 +210,17 @@ def check_sum_rule(prop: Proposition) -> CheckReport:
 
 def check_product_rule(prop: Proposition, given: Proposition) -> CheckReport:
     """P(A|B) = P(A and B) / P(B), checked exactly; skipped when E(B) = 0,
-    which is when B holds no atom: an atom's evidence is positive.
-    Propositions of two spaces raise ``ValueError``, skipped or not.
+    which is when B holds no atom: an atom's evidence is positive.  An
+    argument that is not a proposition raises ``TypeError``, and
+    propositions of two spaces ``ValueError``, skipped or not.
 
     The right-hand side depends on the count pair ``(|A and B|, |B|)``
-    alone, so each space divides it once per count pair and keeps it; ``&``,
-    ``count``, P(A|B) and the comparison run for every call, and no
-    verdict is kept.  Both sides are rendered to ``detail`` only when they
-    differ: the suites read it for failures alone, and a passing report's
-    is empty."""
-    meet = prop & given  # refuses two spaces before anything is skipped
+    alone, so each space divides it once per count pair and keeps it; only
+    then is the meet built as a proposition.  Every call counts the meet
+    from the two masks, asks for P(A|B) and compares, and no verdict is
+    kept.  Both sides are rendered to ``detail`` only when they differ: the
+    suites read it for failures alone, and a passing report's is empty."""
+    space = _space_of(prop, given)
     reference = given.count
     if not reference:
         return CheckReport(
@@ -215,11 +228,11 @@ def check_product_rule(prop: Proposition, given: Proposition) -> CheckReport:
             skipped=True,
         )
     lhs = conditional_probability(prop, given)
-    known = prop.space._quotients
-    key = (meet.count, reference)
+    known = space._quotients
+    key = (space._count(prop.mask & given.mask), reference)
     rhs = known.get(key)
     if rhs is None:
-        rhs = known[key] = probability(meet) / probability(given)
+        rhs = known[key] = probability(prop & given) / probability(given)
     if lhs == rhs:
         return _PRODUCT_RULE_HOLDS
     return CheckReport("product rule", False, f"P(A|B) = {lhs}; P(AB)/P(B) = {rhs}")

@@ -316,7 +316,7 @@ class PossibilitySpace:
         self._probabilities: dict[int, Hyperrational] = {}  # evidence.probability's
         # Keyed by (|A and B|, |B|): evidence.conditional_probability's, and
         # evidence.check_product_rule's P(AB)/P(B), divided once per key.
-        # The check still runs &, count, P(A|B) and == for every pair.
+        # Both count the meet from the two masks for every pair.
         self._conditionals: dict[tuple[int, int], Hyperrational] = {}
         self._quotients: dict[tuple[int, int], Hyperrational] = {}
 

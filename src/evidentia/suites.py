@@ -16,13 +16,14 @@ past that it checks one pair per signature.  The signatures are every
 ``0 <= i <= j <= n``, and ``A = 2^i - 1``, ``B = 2^j - 1`` in ``(i, j)``
 order are the first pairs of each that a walk over all pairs meets.  The
 case count is the number of pairs decided, ``sum of 4^n``.  The full walk
-up to 6 atoms stays because it is the only part of the pass that puts
-every mask pair through ``&`` and ``count``, so it can catch a
-mask-dependent defect that no signature representative can.  Each space
-keeps both sides by count pair, so the division behind P(A|B) and the
-right-hand division P(AB)/P(B) each run once per signature per space,
-while ``&``, ``count``, the engine call P(A|B) and the comparison still run
-for every pair, and no verdict is kept.
+up to 6 atoms stays because it is the only part of the pass that counts
+the meet of every mask pair, so it can catch a mask-dependent defect that
+no signature representative can.  Each space keeps both sides by count
+pair, so the division behind P(A|B) and the right-hand division
+P(AB)/P(B) each run once per signature per space, and the meet is built
+as a proposition only for the right-hand division.  Counting the meet of
+the two masks, the engine call P(A|B) and the comparison still run for
+every pair, and no verdict is kept.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def product_rule_exhaustive_suite(max_atoms: int = 12) -> SuiteResult:
     """P(A|B) = P(AB)/P(B) over all proposition pairs of spaces with 1 up
     to ``max_atoms`` atoms: every pair up to 6 atoms, one pair per count
     signature past that.  Each side's division runs once per signature per
-    space; ``&``, ``count``, P(A|B) and the comparison run for every pair."""
+    space; the meet's count, P(A|B) and the comparison run for every pair."""
     failures = []
     cases = 0
     for n in range(1, max_atoms + 1):

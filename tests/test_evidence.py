@@ -348,6 +348,61 @@ def test_conditioning_across_spaces_is_an_error():
         conditional_probability(deck().top, deck().top)
 
 
+@pytest.mark.parametrize("measure", [conditional_probability, check_product_rule])
+@pytest.mark.parametrize("stray_first", [False, True])
+def test_a_non_proposition_argument_is_a_type_error(measure, stray_first):
+    aces = deck().where(lambda a: a["rank"] == "A")
+    args = (5, aces) if stray_first else (aces, 5)
+    with pytest.raises(TypeError, match="expected a Proposition, not int"):
+        measure(*args)
+
+
+def test_conditionals_and_the_product_rule_agree_with_the_meet_on_every_kind_of_space():
+    # The count of A and B is read from the two masks; the meet built as a
+    # proposition must give the same answers, including on a weighted space,
+    # where a cell weighs its run of tranches and not one atom.
+    source = (
+        'model "m" {\n  dimension d = {a, b, c}\n'
+        "  continuum x from 0 to 10 tranches 10\n}\n"
+        "query P(x < 4)\nquery P(x >= 7)\n"
+    )
+    weighted = compile_model(parse_model(source)).space
+    assert weighted.dimensions[1].weights == (4, 3, 3)
+    assert weighted._count is not int.bit_count
+    spaces = [
+        weighted,
+        compile_model(parse_model(source), scaled=True).space,
+        build_finite_space([("u", [f"u{i}" for i in range(5)]), ("v", ["v0", "v1"])]),
+        build_scaled_space([f"t{i}" for i in range(7)]),
+    ]
+    rng = random.Random(9)
+    outcomes = {"passed": 0, "skipped": 0, "refused": 0}
+    for _ in range(800):
+        space = rng.choice(spaces)
+        other = space if rng.random() < 0.8 else rng.choice(spaces)
+        a = Proposition(space, rng.getrandbits(space.cell_count))
+        b = Proposition(other, rng.getrandbits(other.cell_count) if rng.random() < 0.85 else 0)
+        if other is not space:
+            outcomes["refused"] += 1
+            for measure in (conditional_probability, check_product_rule):
+                with pytest.raises(ValueError, match="different spaces"):
+                    measure(a, b)
+            continue
+        report = check_product_rule(a, b)
+        if not b.count:
+            outcomes["skipped"] += 1
+            assert report.passed and report.skipped and "E(B) = 0" in report.detail
+            with pytest.raises(ZeroDivisionError, match="conditioning on impossibility"):
+                conditional_probability(a, b)
+            continue
+        outcomes["passed"] += 1
+        meet = a & b
+        assert conditional_probability(a, b) == evidence(meet) / evidence(b)
+        assert conditional_probability(a, b) == Hyperrational(meet.count, b.count)
+        assert report.passed and not report.skipped and report.detail == ""
+    assert min(outcomes.values()) >= 40
+
+
 # -- atomic probability ------------------------------------------------------------------
 
 

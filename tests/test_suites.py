@@ -103,6 +103,22 @@ def test_exhaustive_product_rule_checks_one_pair_per_count_signature(monkeypatch
     assert result.ok and result.cases == sum(4**n for n in range(1, 10))
 
 
+def test_exhaustive_product_rule_builds_one_meet_per_count_signature(monkeypatch):
+    """The meet of each pair is counted from the two masks; ``&`` builds it
+    as a proposition only for the right-hand division P(AB)/P(B), once per
+    signature (|A and B|, |B|) with |B| >= 1 on each space."""
+    meets = []
+    real = spaces.Proposition.__and__
+
+    def counted(self, other):
+        meets.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(spaces.Proposition, "__and__", counted)
+    assert suites.product_rule_exhaustive_suite(8).ok
+    assert len(meets) <= sum(n * (n + 3) // 2 for n in range(1, 9)) == 156
+
+
 def test_exhaustive_product_rule_renders_nothing_and_multiplies_once_per_count(monkeypatch):
     """Every pair passes, so no side is rendered to text; evidence is kept
     per space and atom count, so a space of n atoms makes at most n + 1
@@ -142,6 +158,7 @@ def _off_by_one(measure, when):
 measures = importlib.import_module("evidentia.evidence")
 compiler = importlib.import_module("evidentia.dsl.compiler")
 hyperrational = importlib.import_module("evidentia.hyperrational")
+spaces = importlib.import_module("evidentia.spaces")
 
 
 def _off_by_one_on_one_pair(prop, given, right=measures.conditional_probability):
