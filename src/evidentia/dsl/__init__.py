@@ -1,7 +1,7 @@
 """The model language: lexer, parser, syntax tree, and compiler.
 
 ``parse_model`` turns source text into a :class:`~evidentia.dsl.ast.Model`;
-``compile_model`` turns a model into a possibility space plus executable
+``compile_model`` turns a model into a possibility space plus answered
 queries.  Both raise :class:`ModelError` carrying accumulated, span-tagged
 diagnostics.
 """

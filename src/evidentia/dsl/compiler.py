@@ -1,4 +1,4 @@
-"""Lowering from syntax to spaces, partitions and executable queries.
+"""Lowering from syntax to spaces, partitions and answered queries.
 
 Labelled dimensions become axes directly, one cell per label.  For each
 continuum the compiler collects every threshold its model compares
@@ -16,25 +16,24 @@ threshold it cannot resolve, strictly inside a tranche or (lowered on its
 own against a compiled space) not one of the space's cuts, becomes a
 diagnostic at the comparison's span.
 
-Queries are lowered eagerly, so every predicate problem surfaces at compile
-time; evaluation itself is deferred behind :class:`PreparedQuery`.  Each
-query's text is rendered with one label-text map per compile
-(:func:`~evidentia.dsl.ast.label_texts`), so a declared label is rendered
-once however many queries name it; the map is dropped when the compile
-returns.
+Queries are lowered and answered at compile time: every predicate problem
+surfaces there, and as an answer is a ratio of atom counts, no mask
+outlives the compile.  Each query's text is rendered with one label-text
+map per compile (:func:`~evidentia.dsl.ast.label_texts`), so a declared
+label is rendered once however many queries name it; the map is dropped
+when the compile returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
 
 from ..evidence import (
+    _log_of_odds,
     atomic_probability,
     conditional_probability,
     evidence,
-    log_odds,
     odds,
     partition_distribution,
     probability,
@@ -70,23 +69,28 @@ class _LoweringError(Exception):
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """One query, lowered and ready to run against its space."""
+    """One query and the answer its compile counted (for ``L``, the odds)."""
 
     text: str
     kind: str
     provenance: str
-    _thunk: Callable[[int], object]
+    _answer: object
 
     def evaluate(self, digits: int = 6):
-        """Run the query; ``digits`` only affects log-odds precision."""
-        return self._thunk(digits)
+        """The answer; ``digits`` only affects log-odds precision.  A table
+        is a fresh list, and a refusal is raised, on every call."""
+        answer = self._answer
+        if isinstance(answer, ZeroDivisionError):
+            raise ZeroDivisionError(*answer.args)  # fresh: no call alters the stored one
+        if self.kind == "L":
+            return _log_of_odds(answer, digits, "e")
+        return list(answer) if self.kind == "table" else answer
 
 
 @dataclass(frozen=True)
 class CompiledModel:
     name: str
     space: PossibilitySpace
-    partitions: dict[str, StateSpacePartition]
     queries: tuple[PreparedQuery, ...]
 
 
@@ -151,10 +155,9 @@ def _lower(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
 
 
 def _find_dimension(space: PossibilitySpace, name: str, span: SourceSpan) -> Dimension:
-    for dim in space.dimensions:
-        if dim.name == name:
-            return dim
-    raise _LoweringError(f"unknown dimension {name!r}", span)
+    if name not in space._positions:
+        raise _LoweringError(f"unknown dimension {name!r}", span)
+    return space.dimensions[space._positions[name]]
 
 
 def compile_model(
@@ -162,7 +165,7 @@ def compile_model(
     scaled: bool = False,
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> CompiledModel:
-    """Build the space the model implies and lower all of its queries.
+    """Build the space the model implies and answer all of its queries.
 
     ``scaled`` switches the space to total cardinality ``aleph``; ratio
     queries answer identically either way, which is what the
@@ -247,7 +250,7 @@ def compile_model(
 
     if diagnostics:
         raise ModelError(diagnostics)
-    return CompiledModel(model.name, space, partitions, tuple(queries))
+    return CompiledModel(model.name, space, tuple(queries))
 
 
 def _prepare(
@@ -256,29 +259,22 @@ def _prepare(
     query: ast.Query,
     texts: dict[str, str],
 ) -> PreparedQuery:
-    text = ast.render_query(query, texts)
-    provenance = _PROVENANCE[query.kind]
-    if query.kind == "atomic":
-        thunk = lambda digits: atomic_probability(space)
-    elif query.kind == "table":
+    kind = query.kind
+    if kind == "atomic":
+        answer = atomic_probability(space)
+    elif kind == "table":
         if query.partition not in partitions:
-            raise _LoweringError(
-                f"unknown or invalid partition {query.partition!r}", query.span
-            )
-        table = partitions[query.partition]
-        thunk = lambda digits: partition_distribution(table)
-    elif query.kind == "P_cond":
-        prop = _lower(space, query.predicate)
-        given = _lower(space, query.given)
-        thunk = lambda digits, a=prop, b=given: conditional_probability(a, b)
+            raise _LoweringError(f"unknown or invalid partition {query.partition!r}", query.span)
+        answer = tuple(partition_distribution(partitions[query.partition]))
+    elif kind == "P_cond":
+        prop, given = _lower(space, query.predicate), _lower(space, query.given)
+        try:
+            answer = conditional_probability(prop, given)
+        except ZeroDivisionError as exc:
+            # Without its traceback the refusal keeps no frame, so no mask.
+            answer = exc.with_traceback(None)
     else:
-        prop = _lower(space, query.predicate)
-        if query.kind == "P":
-            thunk = lambda digits, a=prop: probability(a)
-        elif query.kind == "O":
-            thunk = lambda digits, a=prop: odds(a)
-        elif query.kind == "L":
-            thunk = lambda digits, a=prop: log_odds(a, digits)
-        else:  # E
-            thunk = lambda digits, a=prop: evidence(a)
-    return PreparedQuery(text, query.kind, provenance, thunk)
+        # Built per call, so a measure replaced at run time is the one asked.
+        measure = {"P": probability, "O": odds, "L": odds, "E": evidence}[kind]
+        answer = measure(_lower(space, query.predicate))
+    return PreparedQuery(ast.render_query(query, texts), kind, _PROVENANCE[kind], answer)

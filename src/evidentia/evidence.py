@@ -153,10 +153,14 @@ def log_odds(prop: Proposition, digits: int = 6, base: str = "e") -> LogOdds:
     appreciable odds: zero, infinite-odds, and infinitesimal or infinite
     ratios have no finite logarithm on the ordinary scale.
     """
+    return _log_of_odds(odds(prop), digits, base)
+
+
+def _log_of_odds(o: Odds, digits: int, base: str) -> LogOdds:
+    """:func:`log_odds` of a proposition whose odds are ``o``."""
     _check_digits(digits)
     if str(base) not in ("e", "2", "10"):
         raise ValueError(f"unsupported log base {base!r}; choose 'e', '2' or '10'")
-    o = odds(prop)
     if o.is_infinite:
         raise ValueError("log-odds undefined: nothing speaks against the proposition")
     if o.is_zero:

@@ -263,11 +263,11 @@ class PossibilitySpace:
         dims = tuple(dimensions)
         if not dims:
             raise ValueError("a space needs at least one dimension")
-        seen = set()
-        for dim in dims:
-            if dim.name in seen:
+        self._positions: dict[str, int] = {}
+        for k, dim in enumerate(dims):
+            if dim.name in self._positions:
                 raise ValueError(f"duplicate dimension name {dim.name!r}")
-            seen.add(dim.name)
+            self._positions[dim.name] = k
             if not dim.labels:
                 raise ValueError(f"dimension {dim.name!r} has no labels")
             if len(set(dim.labels)) != len(dim.labels):
@@ -453,10 +453,9 @@ class PossibilitySpace:
         return walk(0, mask)
 
     def _dim_index(self, name: str) -> int:
-        for i, dim in enumerate(self._dims):
-            if dim.name == name:
-                return i
-        raise ValueError(f"no dimension named {name!r}")
+        if name not in self._positions:
+            raise ValueError(f"no dimension named {name!r}")
+        return self._positions[name]
 
 
 def _weighted(mask: int, groups: tuple[tuple[tuple[int, int], ...], ...]) -> int:

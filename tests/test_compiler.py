@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from evidentia import ALEPH, Hyperrational, fixtures, oracle
 from evidentia.dsl import ModelError, compile_model, lower_predicate, parse_model
 from evidentia.dsl import ast
+from evidentia.evidence import log_odds
 from evidentia.suites import _oracle_dimensions, oracle_predicate
 
 
@@ -233,8 +234,32 @@ def test_partition_must_be_exhaustive():
 def test_conditioning_on_impossibility_surfaces_at_evaluation():
     source = 'model "x" { dimension r = {A, B} }\nquery P(r == A | false)'
     query = compiled(source).queries[0]
-    with pytest.raises(ZeroDivisionError, match="conditioning on impossibility"):
-        query.evaluate()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError, match="conditioning on impossibility") as info:
+            query.evaluate()
+        raised.append((str(info.value), len(info.traceback)))
+    # The same refusal on every call, and no traceback that grows with them.
+    (first, first_depth), (second, second_depth) = raised
+    assert second == first
+    assert second_depth <= first_depth
+
+
+def test_a_table_answer_is_a_fresh_list_on_every_call():
+    (table,) = [q for q in compiled(fixtures.source("deck")).queries if q.kind == "table"]
+    rows = table.evaluate()
+    expected = list(rows)
+    rows[0] = ("changed", Hyperrational(0))
+    rows.append(("extra", Hyperrational(1)))
+    assert table.evaluate() == expected
+
+
+@pytest.mark.parametrize("digits", [0, 6, 40])
+def test_a_log_odds_query_answers_as_log_odds_of_its_proposition(digits):
+    model = parse_model('model "x" { dimension r = {A, B, C} }\nquery L(r == A)')
+    compiled_model = compile_model(model)
+    prop = lower_predicate(compiled_model.space, model.queries[0].predicate)
+    assert compiled_model.queries[0].evaluate(digits) == log_odds(prop, digits)
 
 
 # -- determinism and agreement -------------------------------------------------------

@@ -1,7 +1,8 @@
 """Resource law: no allocation outgrows the input.
 
-Each test bounds the ``tracemalloc`` peak of one compile and evaluation by
-a small multiple of the peak of the same model with one term.
+Each test bounds the ``tracemalloc`` peak of one compile and evaluation, or
+what a compiled model keeps, by a small multiple of the same measure of the
+same model with one term, one query or one block.
 """
 
 import tracemalloc
@@ -12,33 +13,58 @@ import pytest
 from evidentia.dsl import compile_model, parse_model
 
 LABELS = 1000
+QUERIES = 400
 # A compile and evaluation of a 10^6-cell space with one term peaks near
 # 0.5 MB; one mask of that space is 125 kB.
 FACTOR = 8
 
 
-def _model(query: str) -> str:
+def _model(*predicates: str, blocks: int = 0) -> str:
+    """Two dimensions of LABELS labels and one ``P`` query per predicate;
+    with ``blocks``, also a partition of the second axis into that many
+    blocks (the last takes the labels left over) and its table."""
     labels = ", ".join(f"b{i}" for i in range(LABELS))
+    partition = table = ""
+    if blocks:
+        rest = ", ".join(f"b{i}" for i in range(blocks - 1, LABELS))
+        named = "".join(f" k{i}: y == b{i};" for i in range(blocks - 1))
+        partition = f"  partition p {{{named} rest: y in {{{rest}}}; }}\n"
+        table = "query table(p)\n"
     return (
         'model "grid" {\n'
         f"  dimension x = {{{labels}}}\n"
         f"  dimension y = {{{labels}}}\n"
+        f"{partition}"
         "}\n"
-        f"query P({query})\n"
+        + "".join(f"query P({predicate})\n" for predicate in predicates)
+        + table
     )
 
 
 def _peak(source: str):
-    """The answer of the model's one query and the allocation peak of
-    compiling and evaluating it (parsing is not measured)."""
+    """The answers of the model's queries and the allocation peak of
+    compiling and evaluating them (parsing is not measured)."""
     model = parse_model(source)
     tracemalloc.start()
     try:
-        answer = compile_model(model).queries[0].evaluate()
+        answers = [query.evaluate() for query in compile_model(model).queries]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return answer, peak
+    return answers, peak
+
+
+def _retained(source: str):
+    """The compiled model and the memory it keeps: what is still allocated
+    when the compile returns (parsing is not measured)."""
+    model = parse_model(source)
+    tracemalloc.start()
+    try:
+        compiled = compile_model(model)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return compiled, kept
 
 
 @pytest.mark.parametrize(
@@ -48,6 +74,27 @@ def _peak(source: str):
 )
 def test_a_chain_holds_one_mask_at_a_time(word, leaf, count, share):
     # count leaves on the second axis, 125 kB of mask each.
-    answer, peak = _peak(_model(f" {word} ".join(leaf.format(i) for i in range(count))))
+    (answer,), peak = _peak(_model(f" {word} ".join(leaf.format(i) for i in range(count))))
     assert answer == share
     assert peak < FACTOR * _peak(_model(leaf.format(0)))[1]
+
+
+@pytest.mark.parametrize("predicate", ["y == b{}", "y == b{} | x == b{}"], ids=["P", "P_cond"])
+def test_many_queries_hold_one_mask_at_a_time(predicate):
+    # Each query lowers a 125 kB mask or two; its answer is a ratio of counts.
+    answers, peak = _peak(_model(*(predicate.format(i, i) for i in range(QUERIES))))
+    assert answers == [Fraction(1, LABELS)] * QUERIES
+    assert peak < FACTOR * _peak(_model(predicate.format(0, 0)))[1]
+
+
+def test_a_compiled_model_keeps_no_query_mask():
+    compiled, kept = _retained(_model(*(f"y == b{i}" for i in range(QUERIES))))
+    assert [query.evaluate() for query in compiled.queries] == [Fraction(1, LABELS)] * QUERIES
+    assert kept < FACTOR * _retained(_model("y == b0"))[1]
+
+
+def test_a_compiled_model_keeps_no_block_mask():
+    compiled, kept = _retained(_model(blocks=LABELS))
+    (table,) = compiled.queries
+    assert [share for _, share in table.evaluate()] == [Fraction(1, LABELS)] * LABELS
+    assert kept < FACTOR * _retained(_model(blocks=1))[1]

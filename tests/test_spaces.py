@@ -94,6 +94,8 @@ def test_dimension_index_maps_labels_to_positions():
 def test_duplicate_dimension_names_rejected():
     with pytest.raises(ValueError, match="duplicate dimension"):
         build_finite_space([("d", ["x"]), ("d", ["y"])])
+    with pytest.raises(ValueError, match="^duplicate dimension name 'd'$"):
+        build_finite_space([("d", ["x"]), ("e", ["y"]), ("d", ["z"])])
 
 
 # -- continua ----------------------------------------------------------------------
@@ -373,7 +375,7 @@ def test_axis_proposition():
     hearts = space.axis_proposition("suit", {SUITS.index("hearts")})
     assert hearts.count == 13
     assert hearts == space.where(lambda a: a["suit"] == "hearts")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no dimension named 'nope'$"):
         space.axis_proposition("nope", {0})
     with pytest.raises(ValueError, match="no label index 4"):
         space.axis_proposition("suit", {0, 4})
