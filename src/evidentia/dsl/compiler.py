@@ -18,10 +18,12 @@ diagnostic at the comparison's span.
 
 Queries are lowered and answered at compile time: every predicate problem
 surfaces there, and as an answer is a ratio of atom counts, no mask
-outlives the compile.  Each query's text is rendered with one label-text
-map per compile (:func:`~evidentia.dsl.ast.label_texts`), so a declared
-label is rendered once however many queries name it; the map is dropped
-when the compile returns.
+outlives the compile.  A partition is tabulated once, as soon as it
+validates, and every ``table`` query of it shares those rows, so no
+partition outlives its own check.  Each query's text is rendered with one
+label-text map per compile (:func:`~evidentia.dsl.ast.label_texts`), so a
+declared label is rendered once however many queries name it; the map is
+dropped when the compile returns.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from ..spaces import (
     Dimension,
     PossibilitySpace,
     Proposition,
-    StateSpacePartition,
     make_partition,
 )
 from . import ast
@@ -167,20 +168,15 @@ def compile_model(
 ) -> CompiledModel:
     """Build the space the model implies and answer all of its queries.
 
-    ``scaled`` switches the space to total cardinality ``aleph``; ratio
-    queries answer identically either way, which is what the
-    scale-invariance suite verifies.
+    Each partition's blocks are lowered, validated and tabulated in turn,
+    and only the rows are kept.  ``scaled`` switches the space to total
+    cardinality ``aleph``; ratio queries answer identically either way,
+    which is what the scale-invariance suite verifies.
     """
     diagnostics: list[Diagnostic] = []
     if not model.declarations:
-        raise ModelError(
-            [
-                Diagnostic(
-                    "empty model: declare at least one dimension or continuum",
-                    model.span,
-                )
-            ]
-        )
+        message = "empty model: declare at least one dimension or continuum"
+        raise ModelError([Diagnostic(message, model.span)])
     # Count the atoms from the declarations alone: an over-limit model is
     # rejected before any of its tranches is built.
     size = 1
@@ -221,30 +217,29 @@ def compile_model(
         scaled=scaled,
     )
 
-    partitions: dict[str, StateSpacePartition] = {}
+    tables: dict[str, tuple] = {}  # each valid partition's rows
     for part in model.partitions:
         blocks = []
-        ok = True
         for block in part.blocks:
             try:
                 blocks.append((block.name, _lower(space, block.predicate)))
             except _LoweringError as exc:
                 diagnostics.append(exc.diagnostic)
-                ok = False
-        if not ok:
+        if len(blocks) < len(part.blocks):
             continue
         try:
-            partitions[part.name] = make_partition(space, blocks)
+            partition = make_partition(space, blocks)
         except ValueError as exc:
-            diagnostics.append(
-                Diagnostic(f"partition {part.name!r}: {exc}", part.span)
-            )
+            diagnostics.append(Diagnostic(f"partition {part.name!r}: {exc}", part.span))
+            continue
+        tables[part.name] = tuple(partition_distribution(partition))
+        del blocks, partition  # else they live on while the next one is lowered
 
     texts = ast.label_texts(model.declarations)
     queries: list[PreparedQuery] = []
     for query in model.queries:
         try:
-            queries.append(_prepare(space, partitions, query, texts))
+            queries.append(_prepare(space, tables, query, texts))
         except _LoweringError as exc:
             diagnostics.append(exc.diagnostic)
 
@@ -255,7 +250,7 @@ def compile_model(
 
 def _prepare(
     space: PossibilitySpace,
-    partitions: dict[str, StateSpacePartition],
+    tables: dict[str, tuple],
     query: ast.Query,
     texts: dict[str, str],
 ) -> PreparedQuery:
@@ -263,9 +258,9 @@ def _prepare(
     if kind == "atomic":
         answer = atomic_probability(space)
     elif kind == "table":
-        if query.partition not in partitions:
+        if query.partition not in tables:
             raise _LoweringError(f"unknown or invalid partition {query.partition!r}", query.span)
-        answer = tuple(partition_distribution(partitions[query.partition]))
+        answer = tables[query.partition]
     elif kind == "P_cond":
         prop, given = _lower(space, query.predicate), _lower(space, query.given)
         try:

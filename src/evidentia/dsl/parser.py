@@ -11,11 +11,11 @@ boundary, and keeps going; :func:`parse_model` raises a single
 
 Inputs that later stages could not handle are diagnostics too: a number
 literal of more than :data:`MAX_NUMBER_DIGITS` digits, checked before it
-is converted, and a predicate nested more than
-:data:`MAX_PREDICATE_DEPTH` levels deep, since the compiler and the
-printers recurse once per level.  Only parentheses and ``not`` nest: a
-chain of ``and`` (or of ``or``) terms is one node, and one level, however
-long it is.
+is converted, a predicate nested more than :data:`MAX_PREDICATE_DEPTH`
+levels deep, since the compiler and the printers recurse once per level,
+and a model of 10^4300 atoms or more, whose count ``int`` would refuse to
+print.  Only parentheses and ``not`` nest: a chain of ``and`` (or of
+``or``) terms is one node, and one level, however long it is.
 
 The productions a query runs through (:meth:`_Parser.parse_query`, the
 ``and`` and ``or`` chains, ``not``, atoms and label lists) dispatch once
@@ -48,7 +48,9 @@ from .lexer import IDENT, LABEL_KINDS, LIST, NUMBER, STRING, Token, expand, list
 
 _QUERY_KINDS = ("P", "O", "L", "E")
 _COMPARE_OPS = ("<", "<=", ">", ">=")
-_STATEMENT_STARTS = ("dimension", "continuum", "partition", "query")
+# The statements of a model block, each read by the parse_ method so named.
+_BLOCK_STARTS = ("dimension", "continuum", "partition")
+_STATEMENT_STARTS = (*_BLOCK_STARTS, "query")
 # Stands for the token after the last one: its kind and text match nothing
 # the grammar looks for, so a production reads it like any other token.
 _END = Token("", "", 0, 0, 0, 0)
@@ -58,6 +60,8 @@ _END = Token("", "", 0, 0, 0, 0)
 MAX_PREDICATE_DEPTH = 100
 #: Most digits a number literal may have; ``int`` refuses 4300.
 MAX_NUMBER_DIGITS = 1000
+# The fewest atoms refused: ``int`` prints counts of at most 4300 digits.
+_TOO_MANY_ATOMS = 10**4300
 
 
 class _Resync(Exception):
@@ -139,14 +143,14 @@ class _Parser:
         self.error(f"expected '{word}', found {self._found()}")
         raise _Resync
 
-    def synchronize(self, also: tuple[str, ...] = ()):
+    def synchronize(self):
         while (tok := self.peek()) is not None:
             if tok.kind == LIST:
                 self._expand()
                 continue
             if tok.kind == IDENT and tok.text in _STATEMENT_STARTS:
                 return
-            if tok.kind in ("}",) or tok.kind in also:
+            if tok.kind == "}":
                 return
             self.advance()
 
@@ -154,8 +158,6 @@ class _Parser:
 
     def parse_file(self) -> ast.Model:
         name = "<invalid>"
-        declarations: list[ast.DimensionDecl | ast.ContinuumDecl] = []
-        partitions: list[ast.PartitionDecl] = []
         queries: list[ast.Query] = []
         first = self.peek()
         start_span = first.span if first else self._eof_span()
@@ -165,39 +167,25 @@ class _Parser:
             self.expect("{", "'{'")
         except _Resync:
             self.synchronize()
-        while True:
-            if self.at_keyword("dimension") or self.at_keyword("continuum"):
-                try:
-                    if self.at_keyword("dimension"):
-                        decl = self.parse_dimension()
-                    else:
-                        decl = self.parse_continuum()
-                except _Resync:
-                    self.synchronize()
-                    continue
-                if decl.name in self.declarations:
-                    self.error(f"duplicate declaration of {decl.name!r}", decl.span)
-                else:
-                    self.declarations[decl.name] = decl
-                    declarations.append(decl)
-                    if isinstance(decl, ast.DimensionDecl):
-                        self.label_sets[decl.name] = frozenset(decl.labels)
-                continue
-            break
-        while self.at_keyword("partition"):
+        after_partition = False
+        while (tok := self.peek()) and tok.kind == IDENT and tok.text in _BLOCK_STARTS:
+            if tok.text == "partition":
+                after_partition = True
+            elif after_partition:
+                self.error("declarations must come before partitions")
             try:
-                part = self.parse_partition()
+                stmt = getattr(self, f"parse_{tok.text}")()
             except _Resync:
                 self.synchronize()
                 continue
-            if part.name in self.partitions or part.name in self.declarations:
-                self.error(f"duplicate declaration of {part.name!r}", part.span)
+            if stmt.name in self.declarations or stmt.name in self.partitions:
+                self.error(f"duplicate declaration of {stmt.name!r}", stmt.span)
+            elif isinstance(stmt, ast.PartitionDecl):
+                self.partitions[stmt.name] = stmt
             else:
-                self.partitions[part.name] = part
-                partitions.append(part)
-        if self.at_keyword("dimension") or self.at_keyword("continuum"):
-            self.error("declarations must come before partitions")
-            self.synchronize(also=("query",))
+                self.declarations[stmt.name] = stmt
+                if isinstance(stmt, ast.DimensionDecl):
+                    self.label_sets[stmt.name] = frozenset(stmt.labels)
         try:
             self.expect("}", "'}' closing the model block")
         except _Resync:
@@ -212,6 +200,7 @@ class _Parser:
         if self.peek() is not None:
             self.error(f"expected 'query' or end of input, found {self._found()}")
         span = _join(start_span, self.last or start_span)
+        declarations, partitions = self.declarations.values(), self.partitions.values()
         return ast.Model(name, tuple(declarations), tuple(partitions), tuple(queries), span)
 
     def parse_label(self) -> Token:
@@ -505,6 +494,12 @@ def parse_model(source: str, filename: str = "<model>") -> ast.Model:
     parser = _Parser(tokens)
     parser.diagnostics.extend(diagnostics)
     model = parser.parse_file()
+    atoms = 1
+    for decl in model.declarations:
+        atoms *= len(decl.labels) if isinstance(decl, ast.DimensionDecl) else decl.tranches or 1
+        if atoms >= _TOO_MANY_ATOMS:
+            parser.error("model spans at least 10^4300 atoms; use coarser tranches", decl.span)
+            break
     if parser.diagnostics:
         parser.diagnostics.sort(key=lambda d: (d.span.start, d.message))
         raise ModelError(parser.diagnostics)

@@ -431,12 +431,17 @@ class PossibilitySpace:
         """Labels of the first ``limit`` atoms, in row-major atom order, of
         the cells set in ``mask``.  The atoms of a label are consecutive, so
         along each axis the labels are taken in order and each one taken
-        yields at least one atom: no call walks more than ``limit`` of them."""
+        yields at least one atom: no call walks more than ``limit`` of them.
+        A run of one-atom dimensions, whose labels are fixed, takes no frame."""
         dims, strides = self._dims, self._strides
 
         def walk(k: int, sub: int) -> list[tuple[str, ...]]:
+            start = k
+            while k < len(dims) and dims[k].size == 1:
+                k += 1
+            fixed = tuple(dim.atom_label(0) for dim in dims[start:k])
             if k == len(dims):
-                return [()]
+                return [fixed] if sub else []
             dim, stride = dims[k], strides[k]
             out: list[tuple[str, ...]] = []
             while sub and len(out) < limit:
@@ -444,7 +449,7 @@ class PossibilitySpace:
                 tails = walk(k + 1, (sub >> (j * stride)) & ((1 << stride) - 1))
                 for atom in range(dim.offsets[j], dim.offsets[j + 1]):
                     label = dim.atom_label(atom)
-                    out.extend((label,) + tail for tail in tails)
+                    out.extend((*fixed, label, *tail) for tail in tails)
                     if len(out) >= limit:
                         break
                 sub = sub >> ((j + 1) * stride) << ((j + 1) * stride)

@@ -238,6 +238,47 @@ def test_number_literals_are_bounded_ascii_decimals(capsys, tmp_path):
         assert code == 1 and message in err, (declaration, err)
 
 
+def test_an_overlap_across_many_one_label_dimensions_is_a_diagnostic(capsys, tmp_path):
+    # The overlap message names the first clashing atoms, walking 2000
+    # one-label dimensions without a stack frame each.
+    model = tmp_path / "wide.evd"
+    dimensions = "".join(f"  dimension d{i} = {{a}}\n" for i in range(2000))
+    model.write_text(
+        f'model "wide" {{\n{dimensions}  partition p {{ u: true; v: true; }}\n}}\n',
+        encoding="utf-8",
+    )
+    atom = "/".join(["a"] * 2000)
+    assert run(capsys, "eval", str(model)) == (
+        1, "", f"{model}:2002:3: error: partition 'p': blocks 'u' and 'v' overlap on: {atom}\n",
+    )
+
+
+def test_an_atom_count_prints_in_full_up_to_4300_digits(capsys, tmp_path):
+    model = tmp_path / "huge.evd"
+
+    def write(*digits):
+        lines = "".join(
+            f"  continuum c{i} from 0 to 1 tranches {'9' * n}\n" for i, n in enumerate(digits)
+        )
+        model.write_text(f'model "huge" {{\n{lines}}}\nquery atomic\n', encoding="utf-8")
+
+    write(1000, 1000, 1000, 1000, 300)
+    size = (10**1000 - 1) ** 4 * (10**300 - 1)
+    assert len(str(size)) == 4300
+    assert run(capsys, "eval", str(model)) == (
+        1,
+        "",
+        f"{model}:1:1: error: model spans {size} atoms, above the limit of 10000000; "
+        "use coarser tranches or raise the limit\n",
+    )
+    # One digit more and the count could not be printed: every command
+    # refuses the model where the count passes 10^4300.
+    write(1000, 1000, 1000, 1000, 301)
+    refusal = f"{model}:6:3: error: model spans at least 10^4300 atoms; use coarser tranches\n"
+    for command in ("eval", "check", "parse"):
+        assert run(capsys, command, str(model)) == (1, "", refusal), command
+
+
 def test_eval_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "eval", "no/such/file.evd")
     assert code == 2

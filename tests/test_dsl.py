@@ -313,6 +313,79 @@ def test_refused_label_list_diagnostics(source, rendered):
     assert err.value.render("m.evd") == rendered
 
 
+_HEAD = 'model "m" {\n  dimension x = {a, b}\n'
+_TRANCHES = "  continuum c{} from 0 to 1 tranches " + "9" * 1000 + "\n"
+
+
+# Statements the parser refuses: every diagnostic, in order, as rendered, and
+# the source text each one's span covers.
+@pytest.mark.parametrize(
+    "source, rendered, spanned",
+    [
+        (
+            # A misplaced declaration is reported once, then read and
+            # registered, so parsing goes on to the next partition.
+            _HEAD + "  partition p { a: x == a; b: x == b; }\n  dimension y = {c}\n"
+            "  partition q { c: y == d; }\n}\nquery table(p)\n",
+            "m.evd:4:3: error: declarations must come before partitions\n"
+            "m.evd:5:25: error: unknown label 'd' for dimension 'y'",
+            ["dimension", "d"],
+        ),
+        (
+            # ... and a query on it is read as any other.
+            _HEAD + "  partition p { a: x == a; b: x == b; }\n  dimension y = {c}\n}\nquery P(y == c)\n",
+            "m.evd:4:3: error: declarations must come before partitions",
+            ["dimension"],
+        ),
+        (
+            _HEAD + "  partition x { a: x == a; b: x == b; }\n}\n",
+            "m.evd:3:3: error: duplicate declaration of 'x'",
+            ["partition x { a: x == a; b: x == b; }"],
+        ),
+        (
+            'model "m" {\n  continuum t from 0 to 1 tranches 2.5\n}\n',
+            "m.evd:2:36: error: tranche count must be an integer",
+            ["2.5"],
+        ),
+        (
+            _HEAD + "  partition p { a: x == a;",
+            "m.evd:3:27: error: expected '}' closing the model block, found end of input\n"
+            "m.evd:3:27: error: expected a block or '}' before end of input",
+            ["", ""],
+        ),
+        *(
+            (
+                _HEAD + f"}}\nquery {kind}(x == a | x == b)",
+                f"m.evd:4:16: error: '{kind}' does not take a conditioning predicate",
+                ["|"],
+            )
+            for kind in "OLE"
+        ),
+        (
+            _HEAD + "}\nquery P(==)",
+            "m.evd:4:9: error: expected a predicate (dimension test, 'true', 'false' or '('), "
+            "found '=='",
+            ["=="],
+        ),
+        (
+            # The count reaches 10^4300 at the fifth continuum and is
+            # reported there, once.
+            'model "m" {\n' + "".join(_TRANCHES.format(i) for i in range(6)) + "}\n",
+            "m.evd:6:3: error: model spans at least 10^4300 atoms; use coarser tranches",
+            [_TRANCHES.format(4).strip()],
+        ),
+    ],
+    ids=["misplaced declaration", "misplaced declaration queried",
+         "partition named like a dimension", "fractional tranches", "cut-off block list",
+         "O given", "L given", "E given", "missing predicate", "too many atoms"],
+)
+def test_refused_statement_diagnostics(source, rendered, spanned):
+    with pytest.raises(ModelError) as err:
+        parse_model(source, filename="m.evd")
+    assert err.value.render("m.evd") == rendered
+    assert [source[d.span.start : d.span.end] for d in err.value.diagnostics] == spanned
+
+
 # -- scale ---------------------------------------------------------------------------
 
 

@@ -63,6 +63,26 @@ def test_atom_ids_are_row_major():
     assert space.labels_of(51) == ("K", "spades")
 
 
+def test_a_cell_outside_the_space_has_no_labels():
+    space = deck()
+    for cell in (-1, 52):
+        with pytest.raises(IndexError) as err:
+            space.labels_of(cell)
+        assert str(err.value) == f"cell {cell} outside space of size 52"
+
+
+@pytest.mark.parametrize(
+    "grid, weights",
+    [(None, (1, 2)), ((0, 1), (1,)), ((0, 1), (1, 0))],
+    ids=["no grid", "one weight short", "a zero weight"],
+)
+def test_weights_need_a_grid_and_one_positive_weight_per_label(grid, weights):
+    dim = Dimension("x", ("lo", "hi"), grid, weights)
+    with pytest.raises(ValueError) as err:
+        evidentia.PossibilitySpace([dim])
+    assert str(err.value) == "dimension 'x' needs a grid and one positive weight per label"
+
+
 def test_empty_dimension_rejected():
     with pytest.raises(ValueError):
         build_finite_space([("rank", [])])
@@ -513,6 +533,21 @@ def test_partition_reads_a_block_iterator_once():
     assert str(err.value) == "blocks 'a' and 'again' overlap on: a"
     with pytest.raises(ValueError, match="at least one block"):
         make_partition(space, iter(()))
+
+
+def test_a_block_of_another_space_is_refused():
+    space, other = deck(), deck()
+    with pytest.raises(ValueError) as err:
+        make_partition(space, [("all", space.top), ("stranger", other.bottom)])
+    assert str(err.value) == "block 'stranger' belongs to a different space"
+
+
+def test_a_repeated_block_name_is_refused():
+    space = build_finite_space([("x", ["a", "b"])])
+    a = space.proposition({0})
+    with pytest.raises(ValueError) as err:
+        make_partition(space, [("a", a), ("a", ~a)])
+    assert str(err.value) == "duplicate block name 'a'"
 
 
 def test_partition_cardinalities_sum_exactly_when_scaled():
