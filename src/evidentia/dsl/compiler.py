@@ -48,6 +48,7 @@ from ..spaces import (
 )
 from . import ast
 from .diagnostics import Diagnostic, ModelError, SourceSpan
+from .parser import atom_count
 
 DEFAULT_ATOM_LIMIT = 10**7
 
@@ -179,29 +180,20 @@ def compile_model(
         raise ModelError([Diagnostic(message, model.span)])
     # Count the atoms from the declarations alone: an over-limit model is
     # rejected before any of its tranches is built.
-    size = 1
+    size = atom_count(model.declarations)
     for decl in model.declarations:
-        if isinstance(decl, ast.DimensionDecl):
-            size *= len(decl.labels)
-        else:
-            if decl.tranches is None and not scaled:
-                diagnostics.append(
-                    Diagnostic(
-                        f"continuum {decl.name!r} with aleph tranches needs a "
-                        "scaled space (--scaled): its cells are infinitely "
-                        "subdivided",
-                        decl.span,
-                    )
-                )
-            size *= decl.tranches or 1
-    if size > atom_limit:
-        diagnostics.append(
-            Diagnostic(
-                f"model spans {size} atoms, above the limit of {atom_limit}; "
-                "use coarser tranches or raise the limit",
-                model.span,
+        if isinstance(decl, ast.ContinuumDecl) and decl.tranches is None and not scaled:
+            message = (
+                f"continuum {decl.name!r} with aleph tranches needs a scaled space "
+                "(--scaled): its cells are infinitely subdivided"
             )
+            diagnostics.append(Diagnostic(message, decl.span))
+    if size > atom_limit:
+        message = (
+            f"model spans {size} atoms, above the limit of {atom_limit}; "
+            "use coarser tranches or raise the limit"
         )
+        diagnostics.append(Diagnostic(message, model.span))
     if diagnostics:
         raise ModelError(diagnostics)
 

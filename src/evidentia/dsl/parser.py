@@ -14,7 +14,8 @@ literal of more than :data:`MAX_NUMBER_DIGITS` digits, checked before it
 is converted, a predicate nested more than :data:`MAX_PREDICATE_DEPTH`
 levels deep, since the compiler and the printers recurse once per level,
 and a model of 10^4300 atoms or more, whose count ``int`` would refuse to
-print.  Only parentheses and ``not`` nest: a chain of ``and`` (or of
+print; :func:`atom_count` owns that bound, and the compiler applies it
+too.  Only parentheses and ``not`` nest: a chain of ``and`` (or of
 ``or``) terms is one node, and one level, however long it is.
 
 The productions a query runs through (:meth:`_Parser.parse_query`, the
@@ -121,6 +122,8 @@ class _Parser:
         if span is None:
             tok = self.peek()
             span = tok.span if tok else self._eof_span()
+            if not tok and self.diagnostics and self.diagnostics[-1].span == span:
+                return  # the first error at end of input says what is missing
         self.diagnostics.append(Diagnostic(message, span))
 
     def _found(self) -> str:
@@ -482,6 +485,18 @@ class _Parser:
         raise _Resync
 
 
+def atom_count(declarations) -> int:
+    """The atoms the declarations span (``aleph`` tranches count one), up to
+    the declaration that reaches 10^4300, which is refused at its span."""
+    atoms = 1
+    for decl in declarations:
+        atoms *= len(decl.labels) if isinstance(decl, ast.DimensionDecl) else decl.tranches or 1
+        if atoms >= _TOO_MANY_ATOMS:
+            message = "model spans at least 10^4300 atoms; use coarser tranches"
+            raise ModelError([Diagnostic(message, decl.span)])
+    return atoms
+
+
 def parse_model(source: str, filename: str = "<model>") -> ast.Model:
     """Parse a model file into a syntax tree.
 
@@ -494,12 +509,10 @@ def parse_model(source: str, filename: str = "<model>") -> ast.Model:
     parser = _Parser(tokens)
     parser.diagnostics.extend(diagnostics)
     model = parser.parse_file()
-    atoms = 1
-    for decl in model.declarations:
-        atoms *= len(decl.labels) if isinstance(decl, ast.DimensionDecl) else decl.tranches or 1
-        if atoms >= _TOO_MANY_ATOMS:
-            parser.error("model spans at least 10^4300 atoms; use coarser tranches", decl.span)
-            break
+    try:
+        atom_count(model.declarations)
+    except ModelError as exc:
+        parser.diagnostics.extend(exc.diagnostics)
     if parser.diagnostics:
         parser.diagnostics.sort(key=lambda d: (d.span.start, d.message))
         raise ModelError(parser.diagnostics)

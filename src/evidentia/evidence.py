@@ -66,8 +66,13 @@ def conditional_probability(prop: Proposition, given: Proposition) -> Hyperratio
     no atom (an atom's evidence is positive), raises on every call.  An
     argument that is not a proposition raises ``TypeError``, and
     propositions of two spaces ``ValueError``."""
-    space = _space_of(prop, given)
-    reference = given.count
+    if not (isinstance(prop, Proposition) and isinstance(given, Proposition)):
+        stray = given if isinstance(prop, Proposition) else prop
+        raise TypeError(f"expected a Proposition, not {type(stray).__name__}")
+    space = prop.space
+    if given.space is not space:
+        raise ValueError("propositions belong to different spaces")
+    reference = space._count(given.mask)
     if not reference:
         raise ZeroDivisionError(
             "conditioning on impossibility: the reference proposition has zero evidence"
@@ -79,17 +84,6 @@ def conditional_probability(prop: Proposition, given: Proposition) -> Hyperratio
     if value is None:
         value = known[key] = _evidence(space, meet) / _evidence(space, reference)
     return value
-
-
-def _space_of(prop: Proposition, given: Proposition) -> PossibilitySpace:
-    """The one space that both propositions belong to."""
-    if not (isinstance(prop, Proposition) and isinstance(given, Proposition)):
-        stray = given if isinstance(prop, Proposition) else prop
-        raise TypeError(f"expected a Proposition, not {type(stray).__name__}")
-    space = prop.space
-    if given.space is not space:
-        raise ValueError("propositions belong to different spaces")
-    return space
 
 
 def atomic_probability(space: PossibilitySpace) -> Hyperrational:
@@ -186,8 +180,7 @@ def _log_decimal(value: Fraction, digits: int, base: str) -> str:
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one executable rule check, with both sides rendered in
-    ``detail``; the product rule renders them on failure only, so a passing
-    product report has an empty ``detail``."""
+    ``detail`` (by the product rule on failure only)."""
 
     rule: str
     passed: bool
@@ -195,8 +188,11 @@ class CheckReport:
     skipped: bool = False
 
 
-#: The one report every passing product-rule pair shares: reports are frozen.
+#: The reports every passing and every skipped product-rule pair share.
 _PRODUCT_RULE_HOLDS = CheckReport("product rule", True, "")
+_PRODUCT_RULE_SKIPPED = CheckReport(
+    "product rule", True, "skipped: E(B) = 0, conditioning undefined", skipped=True
+)
 
 
 def check_sum_rule(prop: Proposition) -> CheckReport:
@@ -214,30 +210,29 @@ def check_sum_rule(prop: Proposition) -> CheckReport:
 
 def check_product_rule(prop: Proposition, given: Proposition) -> CheckReport:
     """P(A|B) = P(A and B) / P(B), checked exactly; skipped when E(B) = 0,
-    which is when B holds no atom: an atom's evidence is positive.  An
-    argument that is not a proposition raises ``TypeError``, and
-    propositions of two spaces ``ValueError``, skipped or not.
+    which is when B holds no atom: an atom's evidence is positive.
 
-    The right-hand side depends on the count pair ``(|A and B|, |B|)``
-    alone, so each space divides it once per count pair and keeps it; only
-    then is the meet built as a proposition.  Every call counts the meet
-    from the two masks, asks for P(A|B) and compares, and no verdict is
-    kept.  Both sides are rendered to ``detail`` only when they differ: the
-    suites read it for failures alone, and a passing report's is empty."""
-    space = _space_of(prop, given)
-    reference = given.count
-    if not reference:
-        return CheckReport(
-            "product rule", True, "skipped: E(B) = 0, conditioning undefined",
-            skipped=True,
-        )
-    lhs = conditional_probability(prop, given)
+    P(A|B) comes first: :func:`conditional_probability` validates the pair,
+    and its refusal of an atomless B is the skip (one for a B with atoms
+    propagates).  The right side depends on ``(|A and B|, |B|)`` alone, so
+    each space divides it, building the meet, once per count pair, keeping
+    P(A|B)'s own object when the two are equal, so later pairs compare by
+    identity.  Each call counts both masks once; no verdict is kept, and
+    only a failure gets a report of its own, with both sides in ``detail``."""
+    try:
+        lhs = conditional_probability(prop, given)
+    except ZeroDivisionError:
+        if given.count:
+            raise
+        return _PRODUCT_RULE_SKIPPED
+    space = prop.space
+    key = (space._count(prop.mask & given.mask), space._count(given.mask))
     known = space._quotients
-    key = (space._count(prop.mask & given.mask), reference)
     rhs = known.get(key)
     if rhs is None:
-        rhs = known[key] = probability(prop & given) / probability(given)
-    if lhs == rhs:
+        rhs = probability(prop & given) / probability(given)
+        rhs = known[key] = lhs if rhs == lhs else rhs
+    if lhs is rhs or lhs == rhs:
         return _PRODUCT_RULE_HOLDS
     return CheckReport("product rule", False, f"P(A|B) = {lhs}; P(AB)/P(B) = {rhs}")
 

@@ -6,17 +6,18 @@ count with :class:`fractions.Fraction`.  Deliberately self-contained --
 stdlib only, no imports from the rest of the package -- so differential
 tests compare two genuinely separate computations.
 
-A walk hands every predicate one mapping from dimension name to label,
-updated in place from atom to atom, with its keys in dimension order.  It
-is valid only during the call: a predicate that needs an atom later must
-copy it, e.g. with ``dict(atom)``.
+One walker serves both measures, which call each predicate once per atom
+with one mapping from dimension name to label, updated in place from atom
+to atom, with its keys in dimension order.  The mapping is valid only
+during the call: a predicate that needs an atom later must copy it, e.g.
+with ``dict(atom)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 Dimensions = Sequence[tuple[str, Sequence[str]]]
 Predicate = Callable[[Mapping[str, str]], bool]
@@ -35,41 +36,39 @@ def atom_count(dimensions: Dimensions) -> int:
     return total
 
 
-def _counts(dimensions: Dimensions, predicates: Sequence[Predicate]):
+def _atoms(dimensions: Dimensions) -> Iterator[Mapping[str, str]]:
+    """Every atom, in row-major order, once the limit has been checked."""
     total = atom_count(dimensions)
     if total > MAX_ATOMS:
         raise ValueError(f"{total} atoms exceeds the enumeration limit {MAX_ATOMS}")
-    # One mapping per walk, updated in place: the outer dimensions once per
-    # run of the last one, the last dimension once per atom.
     names = [name for name, _ in dimensions]
     last, last_labels = dimensions[-1]
     atom = dict.fromkeys(names)
-    hits = [0] * len(predicates)
-    indexed = tuple(enumerate(predicates))
     for combo in product(*(labels for _, labels in dimensions[:-1])):
         atom.update(zip(names, combo))
         for label in last_labels:
             atom[last] = label
-            for i, predicate in indexed:
-                if predicate(atom):
-                    hits[i] += 1
-    return hits, total
+            yield atom
 
 
 def probability(dimensions: Dimensions, predicate: Predicate) -> Fraction:
     """(# atoms satisfying the predicate) / (# atoms), fully reduced."""
-    hits, total = _counts(dimensions, [predicate])
-    return Fraction(hits[0], total)
+    hits = sum(1 for atom in _atoms(dimensions) if predicate(atom))
+    return Fraction(hits, atom_count(dimensions))
 
 
 def conditional_probability(
     dimensions: Dimensions, predicate: Predicate, given: Predicate
 ) -> Fraction:
-    """count(A and B) / count(B) by direct enumeration."""
-    hits, _total = _counts(
-        dimensions, [given, lambda atom: predicate(atom) and given(atom)]
-    )
-    reference, both = hits
+    """count(A and B) / count(B) by direct enumeration.  Each predicate runs
+    once on every atom, ``given`` first."""
+    reference = both = 0
+    for atom in _atoms(dimensions):
+        holds = given(atom)
+        if predicate(atom) and holds:
+            both += 1
+        if holds:
+            reference += 1
     if reference == 0:
         raise ZeroDivisionError(
             "conditioning on impossibility: no atoms satisfy the reference predicate"

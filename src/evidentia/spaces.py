@@ -49,10 +49,10 @@ count asked about, at most ``size + 1``.  It also keeps two tables keyed by
 the count pair ``(|A and B|, |B|)``, each with one entry per distinct pair
 asked about, at most ``(size + 1)(size + 2)/2``: the conditional
 probabilities ``evidence.conditional_probability`` has computed, and the
-right-hand quotients P(A and B)/P(B) of ``evidence.check_product_rule``.
-The tables stay thread-safe because their entries are idempotent: two
-threads that miss on one key compute equal values, and either store is
-right.
+right-hand quotients P(A and B)/P(B) of ``evidence.check_product_rule``,
+kept as the conditional's own object when equal to it.  The tables stay
+thread-safe because their entries are idempotent: two threads that miss on
+one key compute equal values, and either store is right.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ class PossibilitySpace:
         self._probabilities: dict[int, Hyperrational] = {}  # evidence.probability's
         # Keyed by (|A and B|, |B|): evidence.conditional_probability's, and
         # evidence.check_product_rule's P(AB)/P(B), divided once per key.
-        # Both count the meet from the two masks for every pair.
+        # Each counts both masks once per call.
         self._conditionals: dict[tuple[int, int], Hyperrational] = {}
         self._quotients: dict[tuple[int, int], Hyperrational] = {}
 

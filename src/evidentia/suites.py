@@ -19,11 +19,12 @@ case count is the number of pairs decided, ``sum of 4^n``.  The full walk
 up to 6 atoms stays because it is the only part of the pass that counts
 the meet of every mask pair, so it can catch a mask-dependent defect that
 no signature representative can.  Each space keeps both sides by count
-pair, so the division behind P(A|B) and the right-hand division
-P(AB)/P(B) each run once per signature per space, and the meet is built
-as a proposition only for the right-hand division.  Counting the meet of
-the two masks, the engine call P(A|B) and the comparison still run for
-every pair, and no verdict is kept.
+pair, so each division runs once per signature per space, and the meet is
+built as a proposition only for the right-hand one, whose quotient is
+kept as P(A|B)'s own object when equal to it.  Every pair still gets
+P(A|B) from the engine, which validates it, both mask counts and the
+comparison (by identity past its signature's first pair); no verdict is
+kept.
 """
 
 from __future__ import annotations
@@ -374,15 +375,15 @@ def oracle_predicate(
     if isinstance(pred, (ast.AndPred, ast.OrPred)):
         # One closure per chain: nested two-part closures recurse per term.
         parts = [oracle_predicate(p, bounds) for p in pred.operands]
-        decisive = isinstance(pred, ast.OrPred)
-
-        def chain(atom):
-            for part in parts:
-                if part(atom) == decisive:
-                    return decisive
-            return not decisive
-
-        return chain
+        either = isinstance(pred, ast.OrPred)
+        if len(parts) == 2:  # as in every random predicate: no loop needed
+            first, second = parts
+            if either:
+                return lambda atom: first(atom) or second(atom)
+            return lambda atom: first(atom) and second(atom)
+        if either:
+            return lambda atom: any(part(atom) for part in parts)
+        return lambda atom: all(part(atom) for part in parts)
     if isinstance(pred, ast.LabelIs):
         name, label = pred.dimension, pred.label
         return lambda atom: atom[name] == label

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from evidentia import ALEPH, Hyperrational, fixtures, oracle
 from evidentia.dsl import ModelError, compile_model, lower_predicate, parse_model
 from evidentia.dsl import ast
+from evidentia.dsl.diagnostics import SourceSpan
 from evidentia.evidence import log_odds
 from evidentia.suites import _oracle_dimensions, oracle_predicate
 
@@ -133,6 +134,22 @@ def test_over_limit_model_is_rejected_before_building_tranches():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_a_hand_built_model_of_10_to_4300_atoms_is_refused_where_the_parser_would():
+    # The parser refuses such a tree; a hand-built one reaches the compiler,
+    # whose product stops at the declaration that reaches 10^4300.
+    decls = tuple(
+        ast.ContinuumDecl(
+            f"c{i}", Fraction(0), Fraction(1), 10**1000, SourceSpan(i, i + 1, i + 1, 1)
+        )
+        for i in range(5)
+    )
+    with pytest.raises(ModelError) as err:
+        compile_model(ast.Model("m", decls, (), (ast.Query("atomic"),)))
+    [diagnostic] = err.value.diagnostics
+    assert diagnostic.message == "model spans at least 10^4300 atoms; use coarser tranches"
+    assert diagnostic.span == decls[4].span
 
 
 def test_aleph_tranches_require_scaled():

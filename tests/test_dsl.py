@@ -348,10 +348,23 @@ _TRANCHES = "  continuum c{} from 0 to 1 tranches " + "9" * 1000 + "\n"
             ["2.5"],
         ),
         (
+            # Cut off at end of input: reported once, not again for the
+            # model block's missing '}'.
             _HEAD + "  partition p { a: x == a;",
-            "m.evd:3:27: error: expected '}' closing the model block, found end of input\n"
             "m.evd:3:27: error: expected a block or '}' before end of input",
-            ["", ""],
+            [""],
+        ),
+        (
+            _HEAD + "  dimension y = {a",
+            "m.evd:3:19: error: expected ',' or '}', found end of input",
+            [""],
+        ),
+        (
+            # An error before the end leaves the missing '}' to report.
+            _HEAD + "  partition p { a: x == == ; b: x == b;",
+            "m.evd:3:25: error: expected a label, found '=='\n"
+            "m.evd:3:40: error: expected '}' closing the model block, found end of input",
+            ["==", ""],
         ),
         *(
             (
@@ -377,6 +390,7 @@ _TRANCHES = "  continuum c{} from 0 to 1 tranches " + "9" * 1000 + "\n"
     ],
     ids=["misplaced declaration", "misplaced declaration queried",
          "partition named like a dimension", "fractional tranches", "cut-off block list",
+         "cut-off label list", "error before a cut-off",
          "O given", "L given", "E given", "missing predicate", "too many atoms"],
 )
 def test_refused_statement_diagnostics(source, rendered, spanned):

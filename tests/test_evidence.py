@@ -1,6 +1,7 @@
 """Tests for the measures and their derived rules."""
 
 import decimal
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,8 @@ from evidentia import (
 )
 from evidentia.dsl import compile_model, parse_model
 from evidentia.hyperrational import MAX_DIGITS
+
+measures = importlib.import_module("evidentia.evidence")
 
 RANKS = "A 2 3 4 5 6 7 8 9 10 J Q K".split()
 SUITS = ["clubs", "diamonds", "hearts", "spades"]
@@ -475,6 +478,26 @@ def test_product_rule_skip_reason():
     assert "E(B) = 0" in report.detail
 
 
+def test_only_an_atomless_given_turns_a_refused_conditional_into_a_skip(monkeypatch):
+    # check_product_rule skips on the ZeroDivisionError of P(A|B); a measure
+    # that refuses a B with atoms is a fault, and it must surface.
+    space = deck()
+    skipped = check_product_rule(space.top, space.bottom)
+    refused = ZeroDivisionError("conditioning on impossibility: a broken measure")
+
+    def broken(prop, given):
+        raise refused
+
+    monkeypatch.setattr(measures, "conditional_probability", broken)
+    with pytest.raises(ZeroDivisionError) as err:
+        check_product_rule(space.top, space.top)
+    assert err.value is refused
+    # Every skipped pair shares one report, as every passing pair does.
+    assert check_product_rule(space.top, space.bottom) is skipped
+    assert skipped.skipped and skipped.passed
+    assert skipped.detail == "skipped: E(B) = 0, conditioning undefined"
+
+
 @pytest.mark.parametrize("given", ["top", "bottom"])
 def test_product_rule_across_spaces_is_an_error_even_when_skippable(given):
     # An empty B on another space is refused like a non-empty one, not skipped.
@@ -500,6 +523,8 @@ def test_a_space_keeps_one_product_rule_quotient_per_count_pair(monkeypatch):
     assert space._quotients == {(1, 3): Hyperrational(1, 3)}
     # one conditional, two probabilities, one quotient
     assert len(divisions) == 4
+    # The quotient equals P(A|B), so it is kept as that very object.
+    assert space._quotients[(1, 3)] is space._conditionals[(1, 3)]
 
 
 def test_skipped_and_refused_product_rule_pairs_keep_no_quotient():

@@ -97,3 +97,36 @@ def test_a_walk_shows_each_atom_once_in_row_major_order(dimensions):
     names = [name for name, _ in dimensions]
     assert seen == [tuple(zip(names, combo)) for combo in product(*(labels for _, labels in dimensions))]
     assert result == Fraction(1, len(dimensions[-1][1]))
+
+
+def test_a_conditional_walk_calls_each_predicate_once_per_atom_given_first():
+    dimensions = [RANK_DIM, SUIT_DIM]
+    calls = []
+
+    def recorder(name, holds):
+        def predicate(atom):
+            calls.append((name, atom["rank"], atom["suit"]))
+            return holds(atom)
+
+        return predicate
+
+    result = oracle.conditional_probability(
+        dimensions,
+        recorder("A", lambda a: a["rank"] == "A"),
+        recorder("B", lambda a: a["suit"] == "hearts"),
+    )
+    assert result == Fraction(1, 13)
+    atoms = list(product(RANK_DIM[1], SUIT_DIM[1]))
+    assert calls == [(name, *atom) for atom in atoms for name in "BA"]
+
+
+@pytest.mark.parametrize("measure", ["probability", "conditional_probability"])
+def test_the_enumeration_limit_is_checked_before_any_predicate_call(measure):
+    too_big = [(f"d{i}", [str(j) for j in range(10)]) for i in range(8)]  # 10^8
+
+    def never(atom):
+        pytest.fail("a predicate ran before the limit was checked")
+
+    predicates = [never] * (2 if measure == "conditional_probability" else 1)
+    with pytest.raises(ValueError, match="exceeds the enumeration limit"):
+        getattr(oracle, measure)(too_big, *predicates)

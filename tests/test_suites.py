@@ -3,11 +3,12 @@ code, they are seed-reproducible, and they actually detect violations."""
 
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from evidentia import Hyperrational, Odds, suites
-from evidentia.dsl import parse_model
+from evidentia import Hyperrational, Odds, build_finite_space, oracle, probability, suites
+from evidentia.dsl import ast, lower_predicate, parse_model
 
 
 def test_measure_law_suites_pass_quickly():
@@ -255,3 +256,34 @@ def test_scale_invariance_sees_a_measure_broken_on_scaled_spaces_only(monkeypatc
     assert (len(result.failures), result.failures[0]) == (
         11, "coin: P(face == H): finite 1/2 != scaled 1"
     )
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+@pytest.mark.parametrize("chain", [ast.AndPred, ast.OrPred])
+def test_oracle_chains_of_every_length_count_as_the_engine_does(chain, size):
+    dims = [("a", ("a0", "a1", "a2")), ("b", ("b0", "b1"))]
+    leaves = (
+        ast.LabelIn("a", ("a0", "a1")),
+        ast.LabelIs("b", "b1"),
+        ast.NotPred(ast.LabelIs("a", "a1")),
+        ast.LabelIn("a", ("a1", "a2")),
+    )
+    pred = chain(leaves[:size])
+    engine = probability(lower_predicate(build_finite_space(dims), pred))
+    assert oracle.probability(dims, suites.oracle_predicate(pred)) == engine.as_fraction()
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_an_oracle_chain_stops_at_its_first_decisive_part(size):
+    # A comparison inside a tranche raises when called, so a chain that
+    # reached it would raise.
+    dims = [("t", ("0", "1"))]
+    bounds = {"t": {"0": (Fraction(0), Fraction(1)), "1": (Fraction(1), Fraction(2))}}
+    splits = ast.Comparison("t", "<", Fraction(1, 2))
+    with pytest.raises(ValueError, match="splits a tranche"):
+        oracle.probability(dims, suites.oracle_predicate(splits, bounds))
+    rest = (splits,) * (size - 1)
+    decisive = [(ast.OrPred, ast.TrueLiteral(), 1), (ast.AndPred, ast.FalseLiteral(), 0)]
+    for chain, first, expected in decisive:
+        predicate = suites.oracle_predicate(chain((first, *rest)), bounds)
+        assert oracle.probability(dims, predicate) == expected
