@@ -7,12 +7,13 @@ the indented, span-annotated view the CLI ``parse --dump-ast`` command
 prints.
 
 A label prints bare when it reads back as one identifier or number, and in
-double quotes otherwise.  :func:`label_texts` renders the labels of a
-model's declarations once each into a map that belongs to its caller:
-:func:`render_model`, :func:`dump_tree` and each ``compile_model`` build
-their own and drop it when they return.  :func:`render_predicate` joins
-the texts it finds there, and renders a label the map lacks, such as one a
-hand-built tree never declared, where it is met.
+double quotes otherwise.  A :class:`LabelTexts` map renders each label the
+first time it is asked for and keeps the text, so a label is rendered once
+per map however often it is named.  The map belongs to its caller:
+:func:`render_model`, :func:`dump_tree` and each ``compile_model`` start
+from an empty one and drop it when they return.  A number prints as its
+exact decimal form through :func:`~evidentia.hyperrational._rounded`, the
+field's one decimal printer.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ..hyperrational import _rounded
 from .diagnostics import SourceSpan
 from .lexer import IDENT_PATTERN, NUMBER_PATTERN
 
@@ -153,48 +155,28 @@ def _label_text(label: str) -> str:
 
 
 def _number_text(value: Fraction) -> str:
-    """Exact decimal form; only powers of 2 and 5 can divide the
-    denominator, which holds for every number the grammar can produce."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
+    """Exact decimal form, in the fewest places that hold it; only powers
+    of 2 and 5 can divide the denominator, which holds for every number the
+    grammar can produce."""
+    p, q = value.numerator, value.denominator
+    if q == 1:
+        return str(p)
+    # q = 2^a * 5^b divides 10^max(a, b), and max(a, b) < q.bit_length().
+    places = next((k for k in range(1, q.bit_length()) if 10**k % q == 0), None)
+    if places is None:
         raise ValueError(f"{value} has no finite decimal form")
-    places = max(twos, fives)
-    scaled = value * 10**places
-    digits = str(abs(scaled.numerator)).rjust(places + 1, "0")
-    sign = "-" if value < 0 else ""
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    return _rounded(p, q, places)  # exact: nothing is rounded
 
 
-class _LabelTexts(dict):
-    """Label -> its source text; a label not in the map is rendered each
-    time it is asked for, and not stored."""
+class LabelTexts(dict):
+    """Label -> its source text, rendered the first time it is asked for
+    and kept."""
 
     __slots__ = ()
 
     def __missing__(self, label: str) -> str:
-        return _label_text(label)
-
-
-def label_texts(declarations) -> dict[str, str]:
-    """The source text of every label the declarations name, each rendered
-    once, for :func:`render_predicate` and :func:`render_query`.  A label
-    the map lacks is still rendered correctly, only not ahead of time."""
-    texts = _LabelTexts()
-    for decl in declarations:
-        if isinstance(decl, DimensionDecl):
-            for label in decl.labels:
-                if label not in texts:
-                    texts[label] = _label_text(label)
-    return texts
+        text = self[label] = _label_text(label)
+        return text
 
 
 # Precedence levels: or=1, and=2, not=3, atoms=4.
@@ -202,11 +184,11 @@ def label_texts(declarations) -> dict[str, str]:
 
 def render_predicate(pred: Predicate, parent_level: int = 0, texts=None) -> str:
     """Source text of ``pred``, parenthesised when its precedence is below
-    ``parent_level``.  ``texts`` maps labels to their source text, as
-    :func:`label_texts` builds it; without it each label is rendered where
-    it is met."""
+    ``parent_level``.  ``texts`` is the :class:`LabelTexts` map the labels'
+    source text is read from and kept in; without it a fresh map serves
+    this one call."""
     if texts is None:
-        texts = _LabelTexts()
+        texts = LabelTexts()
     kind = type(pred)
     if kind is LabelIn:
         return f"{pred.dimension} in {{{', '.join(map(texts.__getitem__, pred.labels))}}}"
@@ -249,7 +231,7 @@ def _continuum_text(decl: ContinuumDecl) -> str:
 
 
 def render_model(model: Model) -> str:
-    texts = label_texts(model.declarations)
+    texts = LabelTexts()
     lines = [f'model "{model.name}" {{']
     for decl in model.declarations:
         if isinstance(decl, DimensionDecl):
@@ -277,7 +259,7 @@ def _span_text(span: SourceSpan) -> str:
 
 def dump_tree(model: Model) -> str:
     """Stable indented view of the tree with one span per node."""
-    texts = label_texts(model.declarations)
+    texts = LabelTexts()
     lines = [f'model "{model.name}" {_span_text(model.span)}']
     for decl in model.declarations:
         if isinstance(decl, DimensionDecl):

@@ -21,9 +21,14 @@ surfaces there, and as an answer is a ratio of atom counts, no mask
 outlives the compile.  A partition is tabulated once, as soon as it
 validates, and every ``table`` query of it shares those rows, so no
 partition outlives its own check.  Each query's text is rendered with one
-label-text map per compile (:func:`~evidentia.dsl.ast.label_texts`), so a
-declared label is rendered once however many queries name it; the map is
-dropped when the compile returns.
+label-text map per compile (:class:`~evidentia.dsl.ast.LabelTexts`), which
+renders a label the first time a query names it and keeps the text, so a
+label is rendered once however many queries name it; the map is dropped
+when the compile returns.
+
+A lowering fault raises :class:`ModelError` where it is found, carrying
+the one diagnostic at the span of the node at fault; the compile collects
+them and raises them all together.
 """
 
 from __future__ import annotations
@@ -61,12 +66,6 @@ _PROVENANCE = {
     "table": "Theorem 4",
     "atomic": "Axiom 4",
 }
-
-
-class _LoweringError(Exception):
-    def __init__(self, message: str, span: SourceSpan):
-        self.diagnostic = Diagnostic(message, span)
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -119,10 +118,7 @@ def lower_predicate(space: PossibilitySpace, pred: ast.Predicate) -> Proposition
     Raises :class:`ModelError` when a comparison cannot be resolved to
     whole cells.
     """
-    try:
-        return _lower(space, pred)
-    except _LoweringError as exc:
-        raise ModelError([exc.diagnostic]) from None
+    return _lower(space, pred)
 
 
 def _lower(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
@@ -141,24 +137,22 @@ def _lower(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
         index = dim.index
         for name in names:
             if name not in index:
-                raise _LoweringError(
-                    f"unknown label {name!r} for dimension {pred.dimension!r}",
-                    pred.span,
-                )
+                message = f"unknown label {name!r} for dimension {pred.dimension!r}"
+                raise ModelError([Diagnostic(message, pred.span)])
         return space.axis_proposition(pred.dimension, [index[name] for name in names])
     if isinstance(pred, ast.Comparison):
         dim = _find_dimension(space, pred.dimension, pred.span)
         try:
             indices = dim.compare(pred.op, pred.value)
         except ValueError as exc:
-            raise _LoweringError(str(exc), pred.span) from None
+            raise ModelError([Diagnostic(str(exc), pred.span)]) from None
         return space.axis_proposition(pred.dimension, indices)
     raise TypeError(f"not a predicate node: {pred!r}")
 
 
 def _find_dimension(space: PossibilitySpace, name: str, span: SourceSpan) -> Dimension:
     if name not in space._positions:
-        raise _LoweringError(f"unknown dimension {name!r}", span)
+        raise ModelError([Diagnostic(f"unknown dimension {name!r}", span)])
     return space.dimensions[space._positions[name]]
 
 
@@ -215,8 +209,8 @@ def compile_model(
         for block in part.blocks:
             try:
                 blocks.append((block.name, _lower(space, block.predicate)))
-            except _LoweringError as exc:
-                diagnostics.append(exc.diagnostic)
+            except ModelError as exc:
+                diagnostics.extend(exc.diagnostics)
         if len(blocks) < len(part.blocks):
             continue
         try:
@@ -227,13 +221,13 @@ def compile_model(
         tables[part.name] = tuple(partition_distribution(partition))
         del blocks, partition  # else they live on while the next one is lowered
 
-    texts = ast.label_texts(model.declarations)
+    texts = ast.LabelTexts()
     queries: list[PreparedQuery] = []
     for query in model.queries:
         try:
             queries.append(_prepare(space, tables, query, texts))
-        except _LoweringError as exc:
-            diagnostics.append(exc.diagnostic)
+        except ModelError as exc:
+            diagnostics.extend(exc.diagnostics)
 
     if diagnostics:
         raise ModelError(diagnostics)
@@ -244,14 +238,15 @@ def _prepare(
     space: PossibilitySpace,
     tables: dict[str, tuple],
     query: ast.Query,
-    texts: dict[str, str],
+    texts: ast.LabelTexts,
 ) -> PreparedQuery:
     kind = query.kind
     if kind == "atomic":
         answer = atomic_probability(space)
     elif kind == "table":
         if query.partition not in tables:
-            raise _LoweringError(f"unknown or invalid partition {query.partition!r}", query.span)
+            message = f"unknown or invalid partition {query.partition!r}"
+            raise ModelError([Diagnostic(message, query.span)])
         answer = tables[query.partition]
     elif kind == "P_cond":
         prop, given = _lower(space, query.predicate), _lower(space, query.given)

@@ -23,8 +23,9 @@ The productions a query runs through (:meth:`_Parser.parse_query`, the
 per production, in the manner of Pratt's top-down operator precedence
 (1973): each reads the token in front into a local once and branches on
 its kind and text, rather than asking the parser one question per
-alternative.  Past the last token they read :data:`_END`, whose kind and
-text match nothing the grammar looks for.
+alternative.  :data:`_END` lies under the last token, so a token is
+always in front: its kind and text match nothing the grammar looks for,
+and end-of-input tests ask whether the token in front is it.
 
 The two places a label list belongs (``dimension X = {...}`` and
 ``X in {...}``) share one reader, :meth:`_Parser.parse_label_list`.  A list
@@ -52,9 +53,10 @@ _COMPARE_OPS = ("<", "<=", ">", ">=")
 # The statements of a model block, each read by the parse_ method so named.
 _BLOCK_STARTS = ("dimension", "continuum", "partition")
 _STATEMENT_STARTS = (*_BLOCK_STARTS, "query")
-# Stands for the token after the last one: its kind and text match nothing
-# the grammar looks for, so a production reads it like any other token.
-_END = Token("", "", 0, 0, 0, 0)
+# The token after the last one, never consumed: its kind and text match
+# nothing the grammar looks for, so a production reads it like any other
+# token.  Its span is the end-of-input span of an empty source.
+_END = Token("", "", 0, 0, 1, 1)
 
 #: Deepest predicate accepted; each parenthesis level and each ``not``
 #: counts as one level, and a chain of ``and`` or ``or`` terms as none.
@@ -77,10 +79,11 @@ def _join(first: SourceSpan | Token, last: SourceSpan | Token) -> SourceSpan:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        # The unread tokens, the next one last, so that a list token can be
-        # replaced by its expansion in time linear in the expansion.
-        self.tokens = tokens[::-1]
-        self.last = tokens[-1] if tokens else None
+        # The unread tokens, the next one last and _END first, so that a list
+        # token can be replaced by its expansion in time linear in the
+        # expansion.
+        self.tokens = [_END, *tokens[::-1]]
+        self.last = tokens[-1] if tokens else _END
         self.diagnostics: list[Diagnostic] = []
         self.declarations: dict[str, ast.DimensionDecl | ast.ContinuumDecl] = {}
         # The labels of each declared dimension, for lookups by hash.
@@ -91,63 +94,51 @@ class _Parser:
 
     def _eof_span(self) -> SourceSpan:
         """The empty span just after the last token."""
-        if self.last is None:
-            return SourceSpan(0, 0, 1, 1)
         # A list may end on a later line than it starts; its "}" may not.
         last = expand(self.last)[-1]
         return SourceSpan(last.end, last.end, last.line, last.column + last.end - last.start)
 
-    def peek(self) -> Token | None:
-        return self.tokens[-1] if self.tokens else None
-
     def _expand(self):
         """Replace a list token in front by the tokens it stands for."""
         tokens = self.tokens
-        if tokens and tokens[-1].kind == LIST:
+        if tokens[-1].kind == LIST:
             tokens[-1:] = expand(tokens[-1])[::-1]
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            return False
-        return text is None or tok.text == text
-
-    def at_keyword(self, word: str) -> bool:
-        return self.at(IDENT, word)
-
-    def advance(self) -> Token:
-        return self.tokens.pop()
+        tok = self.tokens[-1]
+        return tok.kind == kind and (text is None or tok.text == text)
 
     def error(self, message: str, span: SourceSpan | None = None):
         if span is None:
-            tok = self.peek()
-            span = tok.span if tok else self._eof_span()
-            if not tok and self.diagnostics and self.diagnostics[-1].span == span:
+            tok = self.tokens[-1]
+            span = self._eof_span() if tok is _END else tok.span
+            if tok is _END and self.diagnostics and self.diagnostics[-1].span == span:
                 return  # the first error at end of input says what is missing
         self.diagnostics.append(Diagnostic(message, span))
 
     def _found(self) -> str:
         self._expand()
-        tok = self.peek()
-        return f"'{tok.text}'" if tok else "end of input"
+        tok = self.tokens[-1]
+        return "end of input" if tok is _END else f"'{tok.text}'"
 
     def expect(self, kind: str, what: str) -> Token:
         tokens = self.tokens
-        if not tokens or tokens[-1].kind != kind:
+        if tokens[-1].kind != kind:
             self._expand()
-            if not tokens or tokens[-1].kind != kind:
+            if tokens[-1].kind != kind:
                 self.error(f"expected {what}, found {self._found()}")
                 raise _Resync
         return tokens.pop()
 
     def expect_keyword(self, word: str) -> Token:
-        if self.at_keyword(word):
-            return self.advance()
+        if self.at(IDENT, word):
+            return self.tokens.pop()
         self.error(f"expected '{word}', found {self._found()}")
         raise _Resync
 
     def synchronize(self):
-        while (tok := self.peek()) is not None:
+        tokens = self.tokens
+        while (tok := tokens[-1]) is not _END:
             if tok.kind == LIST:
                 self._expand()
                 continue
@@ -155,15 +146,14 @@ class _Parser:
                 return
             if tok.kind == "}":
                 return
-            self.advance()
+            tokens.pop()
 
     # -- grammar -------------------------------------------------------------
 
     def parse_file(self) -> ast.Model:
         name = "<invalid>"
         queries: list[ast.Query] = []
-        first = self.peek()
-        start_span = first.span if first else self._eof_span()
+        start_span = self.tokens[-1].span
         try:
             self.expect_keyword("model")
             name = self.expect(STRING, "the model name as a string").text
@@ -171,7 +161,7 @@ class _Parser:
         except _Resync:
             self.synchronize()
         after_partition = False
-        while (tok := self.peek()) and tok.kind == IDENT and tok.text in _BLOCK_STARTS:
+        while (tok := self.tokens[-1]).kind == IDENT and tok.text in _BLOCK_STARTS:
             if tok.text == "partition":
                 after_partition = True
             elif after_partition:
@@ -194,21 +184,21 @@ class _Parser:
         except _Resync:
             self.synchronize()
             if self.at("}"):
-                self.advance()
-        while self.at_keyword("query"):
+                self.tokens.pop()
+        while self.at(IDENT, "query"):
             try:
                 queries.append(self.parse_query())
             except _Resync:
                 self.synchronize()
-        if self.peek() is not None:
+        if self.tokens[-1] is not _END:
             self.error(f"expected 'query' or end of input, found {self._found()}")
-        span = _join(start_span, self.last or start_span)
+        span = _join(start_span, self.last)
         declarations, partitions = self.declarations.values(), self.partitions.values()
         return ast.Model(name, tuple(declarations), tuple(partitions), tuple(queries), span)
 
     def parse_label(self) -> Token:
         tokens = self.tokens
-        if tokens and tokens[-1].kind in LABEL_KINDS:
+        if tokens[-1].kind in LABEL_KINDS:
             return tokens.pop()
         self.error(f"expected a label, found {self._found()}")
         raise _Resync
@@ -224,7 +214,7 @@ class _Parser:
         labels without repeats and its number of labels that no report is
         due.  A false test costs only the split."""
         tokens = self.tokens
-        tok = tokens[-1] if tokens else _END
+        tok = tokens[-1]
         if tok.kind == LIST:
             texts = list_labels(tok)
             labels = dict.fromkeys(texts)
@@ -239,18 +229,18 @@ class _Parser:
                 label_tok = self.parse_label()
                 report(label_tok, labels)
                 labels[label_tok.text] = None
-                if not tokens or tokens[-1].kind != ",":
+                if tokens[-1].kind != ",":
                     return tuple(labels), self.expect("}", "',' or '}'")
                 tokens.pop()
         except _Resync:
             # Resume after the list's own '}', not at it as at a block's end.
             self.synchronize()
             if self.at("}"):
-                self.advance()
+                tokens.pop()
             raise
 
     def parse_dimension(self) -> ast.DimensionDecl:
-        start = self.advance().span
+        start = self.tokens.pop().span
         name = self.expect(IDENT, "a dimension name").text
         self.expect("=", "'='")
 
@@ -275,15 +265,15 @@ class _Parser:
         return Fraction(int(whole + decimals), 10 ** len(decimals)), tok
 
     def parse_continuum(self) -> ast.ContinuumDecl:
-        start = self.advance().span
+        start = self.tokens.pop().span
         name = self.expect(IDENT, "a continuum name").text
         self.expect_keyword("from")
         low, _ = self._number("a number after 'from'")
         self.expect_keyword("to")
         high, high_tok = self._number("a number after 'to'")
         self.expect_keyword("tranches")
-        if self.at_keyword("aleph"):
-            end_tok = self.advance()
+        if self.at(IDENT, "aleph"):
+            end_tok = self.tokens.pop()
             tranches: int | None = None
         else:
             count, tok = self._number("a tranche count or 'aleph'")
@@ -304,13 +294,13 @@ class _Parser:
         return ast.ContinuumDecl(name, low, high, tranches, _join(start, end_tok.span))
 
     def parse_partition(self) -> ast.PartitionDecl:
-        start = self.advance().span
+        start = self.tokens.pop().span
         name = self.expect(IDENT, "a partition name").text
         self.expect("{", "'{'")
         blocks: list[ast.Block] = []
         names: set[str] = set()
         while not self.at("}"):
-            if self.peek() is None:
+            if self.tokens[-1] is _END:
                 self.error("expected a block or '}' before end of input")
                 raise _Resync
             block_name_tok = self.expect(IDENT, "a block name")
@@ -326,7 +316,7 @@ class _Parser:
                 names.add(block_name_tok.text)
                 span = _join(block_name_tok.span, semi.span)
                 blocks.append(ast.Block(block_name_tok.text, predicate, span))
-        closing = self.advance()
+        closing = self.tokens.pop()
         if not blocks:
             self.error(f"partition {name!r} has no blocks", start)
         return ast.PartitionDecl(name, tuple(blocks), _join(start, closing.span))
@@ -334,7 +324,7 @@ class _Parser:
     def parse_query(self) -> ast.Query:
         tokens = self.tokens
         start = tokens.pop()
-        tok = tokens[-1] if tokens else _END
+        tok = tokens[-1]
         kind = tok.text
         if tok.kind == IDENT:
             if kind == "atomic":
@@ -353,7 +343,7 @@ class _Parser:
                 self.expect("(", "'('")
                 predicate = self.parse_predicate()
                 given = None
-                if tokens and tokens[-1].kind == "|":
+                if tokens[-1].kind == "|":
                     if kind != "P":
                         self.error(f"'{kind}' does not take a conditioning predicate")
                     tokens.pop()
@@ -377,21 +367,21 @@ class _Parser:
         if level == MAX_PREDICATE_DEPTH:
             self.error(f"predicate nests deeper than {MAX_PREDICATE_DEPTH} levels")
             raise _Resync
-        return self.advance()
+        return self.tokens.pop()
 
     def _chain(self, level: int, word: str, node, operand) -> ast.Predicate:
         """``operand`` terms joined by ``word`` as one ``node``; a
         parenthesised chain of the same kind in front joins it."""
         first = operand(level)
         tokens = self.tokens
-        tok = tokens[-1] if tokens else _END
+        tok = tokens[-1]
         if tok.text != word or tok.kind != IDENT:
             return first
         parts = list(first.operands) if isinstance(first, node) else [first]
         while tok.text == word and tok.kind == IDENT:
             tokens.pop()
             parts.append(operand(level))
-            tok = tokens[-1] if tokens else _END
+            tok = tokens[-1]
         return node(tuple(parts), _join(first.span, parts[-1].span))
 
     def parse_predicate(self, level: int = 0) -> ast.Predicate:
@@ -401,7 +391,7 @@ class _Parser:
         return self._chain(level, "and", ast.AndPred, self.parse_unary)
 
     def parse_unary(self, level: int) -> ast.Predicate:
-        tok = self.tokens[-1] if self.tokens else _END
+        tok = self.tokens[-1]
         if tok.text == "not" and tok.kind == IDENT:
             start = self._open(level).span
             operand = self.parse_unary(level + 1)
@@ -432,7 +422,7 @@ class _Parser:
 
     def parse_atom(self, level: int) -> ast.Predicate:
         tokens = self.tokens
-        tok = tokens[-1] if tokens else _END
+        tok = tokens[-1]
         kind = tok.kind
         if kind == IDENT:
             name = tok.text
@@ -442,7 +432,7 @@ class _Parser:
                 return ast.FalseLiteral(tokens.pop().span)
             name_tok = tokens.pop()
             decl = self._declared(name_tok)
-            tok = tokens[-1] if tokens else _END
+            tok = tokens[-1]
             op = tok.kind
             if op == "==":
                 tokens.pop()

@@ -393,15 +393,15 @@ def oracle_predicate(
     if isinstance(pred, ast.Comparison):
         if bounds is None or pred.dimension not in bounds:
             raise ValueError(f"no interval bounds for {pred.dimension!r}")
-        table = bounds[pred.dimension]
-        below = pred.op in ("<", "<=")
-        threshold = pred.value
+        name, threshold, below = pred.dimension, pred.value, pred.op in ("<", "<=")
+        # Each tranche's verdict, decided once; None marks a split tranche.
+        verdicts = {label: below if hi <= threshold else None if lo < threshold else not below
+                    for label, (lo, hi) in bounds[name].items()}
 
         def compare(atom):
-            lo, hi = table[atom[pred.dimension]]
-            if hi <= threshold or lo >= threshold:
-                return (hi <= threshold) == below
-            raise ValueError("threshold splits a tranche")
+            if (verdict := verdicts[atom[name]]) is None:
+                raise ValueError("threshold splits a tranche")
+            return verdict
 
         return compare
     raise TypeError(f"not a predicate node: {pred!r}")

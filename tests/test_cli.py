@@ -310,6 +310,23 @@ def test_parse_dump_matches_golden(capsys, fixture_path):
     assert out == (DATA / "deck_ast.txt").read_text(encoding="utf-8")
 
 
+def test_parse_dump_of_continua(capsys, tmp_path):
+    model = tmp_path / "m.evd"
+    model.write_text(
+        'model "m" {\n  continuum t from 0.5 to 2 tranches 6\n'
+        "  continuum u from 0 to 1 tranches aleph\n}\nquery P(t < 0.75)\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "parse", str(model), "--dump-ast")
+    assert code == 0 and err == ""
+    assert out == (
+        'model "m" @1:1[0:111]\n'
+        "  continuum t @2:3[14:50]: from 0.5 to 2 tranches 6\n"
+        "  continuum u @3:3[53:91]: from 0 to 1 tranches aleph\n"
+        "  query @5:1[94:111]: P(t < 0.75)\n"
+    )
+
+
 def test_parse_without_dump_is_quiet(capsys, fixture_path):
     code, out, _ = run(capsys, "parse", fixture_path("deck"))
     assert code == 0 and out == ""

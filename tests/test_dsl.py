@@ -387,11 +387,25 @@ _TRANCHES = "  continuum c{} from 0 to 1 tranches " + "9" * 1000 + "\n"
             "m.evd:6:3: error: model spans at least 10^4300 atoms; use coarser tranches",
             [_TRANCHES.format(4).strip()],
         ),
+        (
+            _HEAD + "  partition p { }\n}\n",
+            "m.evd:3:3: error: partition 'p' has no blocks",
+            ["partition"],
+        ),
+        (
+            # Recovery consumes the model block's '}', so no error is
+            # reported at it, and the queries after it still parse.
+            _HEAD + "  ; }\nquery P(x == a)\nquery P(x == c)\n",
+            "m.evd:3:3: error: expected '}' closing the model block, found ';'\n"
+            "m.evd:5:14: error: unknown label 'c' for dimension 'x'",
+            [";", "c"],
+        ),
     ],
     ids=["misplaced declaration", "misplaced declaration queried",
          "partition named like a dimension", "fractional tranches", "cut-off block list",
          "cut-off label list", "error before a cut-off",
-         "O given", "L given", "E given", "missing predicate", "too many atoms"],
+         "O given", "L given", "E given", "missing predicate", "too many atoms",
+         "partition without blocks", "stray token before the block's brace"],
 )
 def test_refused_statement_diagnostics(source, rendered, spanned):
     with pytest.raises(ModelError) as err:
@@ -618,6 +632,21 @@ def test_a_chain_needs_a_tuple_of_two_or_more_operands(node):
     with pytest.raises(ValueError):
         node(leaf, leaf)  # the operands as separate arguments
     assert node((leaf, leaf)).operands == (leaf, leaf)
+
+
+def test_numbers_print_as_exact_decimals():
+    source = (
+        'model "m" {\n  continuum t from 0.5 to 2.25 tranches 7\n}\n'
+        "query P(t < 0.75)\nquery P(t >= 1.2)\nquery P(t > 2)\n"
+    )
+    assert ast.render_model(parse_model(source)) == source
+    # A hand-built tree may hold what the grammar cannot write: a negative
+    # value, or one with no finite decimal form.
+    for value, text in [(Fraction(-1, 8), "-0.125"), (Fraction(-7, 2), "-3.5"), (Fraction(-3), "-3"),
+                        (Fraction(1, 5), "0.2"), (Fraction(3, 1000), "0.003")]:
+        assert ast.render_predicate(ast.Comparison("t", "<", value)) == f"t < {text}"
+    with pytest.raises(ValueError, match="has no finite decimal form"):
+        ast.render_predicate(ast.Comparison("t", "<", Fraction(1, 6)))
 
 
 def test_dump_tree_is_stable():

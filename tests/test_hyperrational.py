@@ -114,6 +114,14 @@ def test_negative_denominator_normalises(p, q, text):
     assert value.denominator_coefficients[-1] > 0
 
 
+def test_unary_plus_and_abs():
+    for value in (Hyperrational(-3, 4), 1 - ALEPH, Hyperrational(0), ALEPH - 1, 1 / ALEPH):
+        assert +value is value
+        assert abs(value) == (-value if value < 0 else value)
+        assert abs(value) >= 0 and abs(-value) == abs(value)
+    assert str(abs(1 - ALEPH)) == "aleph - 1"
+
+
 # -- the infinite unit ---------------------------------------------------------
 
 

@@ -25,6 +25,30 @@ def test_product_rule_exhaustive_small():
     assert result.cases == sum(4**n for n in range(1, 8))
 
 
+def test_the_random_product_rule_notes_its_skipped_pairs(monkeypatch):
+    # A random B of 13 or more cells is almost never empty, so the test
+    # empties it in the first and third case: those two are skipped.
+    drawn = suites._random_proposition
+    calls = []
+
+    def draw(rng, space):
+        calls.append(space)
+        prop = drawn(rng, space)
+        return space.bottom if len(calls) in (2, 6) else prop
+
+    monkeypatch.setattr(suites, "_random_proposition", draw)
+    result = suites.product_rule_random_suite(random.Random(3), 3)
+    assert len(calls) == 6
+    assert result.summary() == "product rule (random): 3 cases, ok (2 skipped with E(B) = 0)"
+
+
+def test_a_summary_lists_three_failures_and_counts_the_rest():
+    result = suites.SuiteResult("laws", 9, [f"case {i}" for i in range(5)], "note")
+    assert result.summary() == (
+        "laws: 9 cases, 5 FAILED (note)\n  case 0\n  case 1\n  case 2\n  ... and 2 more"
+    )
+
+
 def test_hyperrational_laws_suite_passes():
     assert suites.hyperrational_laws_suite(random.Random(6), 300).ok
 
