@@ -16,7 +16,7 @@ import os
 import sys
 
 from .dsl.ast import dump_tree
-from .dsl.compiler import compile_model
+from .dsl.compiler import UNDEFINED, compile_model
 from .dsl.diagnostics import ModelError
 from .dsl.parser import parse_model
 from .evidence import LogOdds, Odds
@@ -115,7 +115,7 @@ def _cmd_eval(args) -> int:
     for query in compiled.queries:
         try:
             result = query.evaluate(args.digits)
-        except (ZeroDivisionError, ValueError) as exc:
+        except UNDEFINED as exc:
             print(f"{args.file}: error: {query.text}: {exc}", file=sys.stderr)
             had_errors = True
             continue
@@ -150,7 +150,8 @@ def _cmd_check(args) -> int:
         return 1
     extra_models = []
     if args.file:
-        model, code = _load(args.file)
+        # Refused as eval refuses it: every valid model compiles scaled.
+        model, code = _load(args.file, lambda model: compile_model(model, scaled=True) and model)
         if code:
             return code
         extra_models.append((args.file, model))

@@ -110,6 +110,10 @@ class ContinuumDecl:
     tranches: int | None  # None means the 'aleph' marker
     span: SourceSpan = _span_field()
 
+    @property
+    def tranche_count(self) -> int:  # 'aleph' tranches are one cell
+        return 1 if self.tranches is None else self.tranches
+
 
 @dataclass(frozen=True)
 class Block:

@@ -28,7 +28,8 @@ when the compile returns.
 
 A lowering fault raises :class:`ModelError` where it is found, carrying
 the one diagnostic at the span of the node at fault; the compile collects
-them and raises them all together.
+them and raises them all together.  A declaration the space refuses (only
+a hand-built tree has one) is a diagnostic at its span.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ _PROVENANCE = {
     "table": "Theorem 4",
     "atomic": "Axiom 4",
 }
+
+
+#: What :meth:`PreparedQuery.evaluate` raises for an undefined answer: a
+#: condition with no evidence, or log-odds of odds with no finite logarithm.
+UNDEFINED = (ZeroDivisionError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,7 @@ def _thresholds(pred: ast.Predicate | None, out: dict[str, set]) -> None:
 def _dimension(decl: ast.DimensionDecl | ast.ContinuumDecl, thresholds) -> Dimension:
     if isinstance(decl, ast.DimensionDecl):
         return Dimension(decl.name, decl.labels)
-    return Dimension.continuum(decl.name, decl.low, decl.high, decl.tranches or 1, thresholds)
+    return Dimension.continuum(decl.name, decl.low, decl.high, decl.tranche_count, thresholds)
 
 
 def lower_predicate(space: PossibilitySpace, pred: ast.Predicate) -> Proposition:
@@ -198,10 +204,16 @@ def compile_model(
     for query in model.queries:
         _thresholds(query.predicate, thresholds)
         _thresholds(query.given, thresholds)
-    space = PossibilitySpace(
-        [_dimension(d, thresholds.get(d.name, ())) for d in model.declarations],
-        scaled=scaled,
-    )
+    dimensions = []
+    try:
+        for decl in model.declarations:
+            dimensions.append(_dimension(decl, thresholds.get(decl.name, ())))
+        space = PossibilitySpace(dimensions, scaled=scaled)
+    except ValueError as exc:  # from a hand-built tree: the parser refuses these
+        if len(dimensions) == len(model.declarations):  # a name's second declaration
+            names = [d.name for d in model.declarations]
+            decl = next(d for k, d in enumerate(model.declarations) if d.name in names[:k])
+        raise ModelError([Diagnostic(str(exc), decl.span)]) from None
 
     tables: dict[str, tuple] = {}  # each valid partition's rows
     for part in model.partitions:

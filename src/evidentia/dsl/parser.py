@@ -480,7 +480,7 @@ def atom_count(declarations) -> int:
     the declaration that reaches 10^4300, which is refused at its span."""
     atoms = 1
     for decl in declarations:
-        atoms *= len(decl.labels) if isinstance(decl, ast.DimensionDecl) else decl.tranches or 1
+        atoms *= len(decl.labels) if isinstance(decl, ast.DimensionDecl) else decl.tranche_count
         if atoms >= _TOO_MANY_ATOMS:
             message = "model spans at least 10^4300 atoms; use coarser tranches"
             raise ModelError([Diagnostic(message, decl.span)])

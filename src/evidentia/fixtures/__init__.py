@@ -9,11 +9,8 @@ from importlib import resources
 
 def names() -> list[str]:
     """Names of the bundled model files, without the ``.evd`` suffix."""
-    found = []
-    for entry in resources.files(__package__).iterdir():
-        if entry.name.endswith(".evd"):
-            found.append(entry.name[: -len(".evd")])
-    return sorted(found)
+    entries = resources.files(__package__).iterdir()
+    return sorted(e.name[: -len(".evd")] for e in entries if e.name.endswith(".evd"))
 
 
 def source(name: str) -> str:

@@ -72,7 +72,7 @@ from .hyperrational import ALEPH, Hyperrational
 
 @dataclass(frozen=True)
 class Dimension:
-    """One axis of a possibility space.
+    """One axis of a possibility space, of one or more distinct labels.
 
     ``grid``, when present, is ``(low, width)``: atom ``i`` along the axis
     stands for the half-open interval ``[low + i*width, low + (i+1)*width)``.
@@ -96,6 +96,11 @@ class Dimension:
     weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not self.labels:
+            raise ValueError(f"dimension {self.name!r} has no labels")
+        if len(set(self.labels)) != len(self.labels):
+            dupes = sorted(l for l, c in Counter(self.labels).items() if c > 1)
+            raise ValueError(f"dimension {self.name!r} repeats label(s): {', '.join(dupes)}")
         if self.grid is not None:
             _require_exact(self.name, *self.grid)
             if self.grid[1] <= 0:
@@ -268,14 +273,6 @@ class PossibilitySpace:
             if dim.name in self._positions:
                 raise ValueError(f"duplicate dimension name {dim.name!r}")
             self._positions[dim.name] = k
-            if not dim.labels:
-                raise ValueError(f"dimension {dim.name!r} has no labels")
-            if len(set(dim.labels)) != len(dim.labels):
-                counts = Counter(dim.labels)
-                dupes = sorted(l for l, c in counts.items() if c > 1)
-                raise ValueError(
-                    f"dimension {dim.name!r} repeats label(s): {', '.join(dupes)}"
-                )
             if dim.weights is not None and (
                 dim.grid is None
                 or len(dim.weights) != len(dim.labels)

@@ -6,6 +6,12 @@ counterexamples.  Expected values come from routes independent of the code
 under test: direct enumeration through :mod:`evidentia.oracle`,
 substitution of large integers for ``aleph``, or plain Python counting.
 
+The model suites compare answers as values with ``==``, exact because a
+``Hyperrational`` is canonical: an ``aleph`` left in a ratio is a failure,
+not an error.  An engine answer is undefined (None) where it raises
+:data:`~evidentia.dsl.compiler.UNDEFINED`, as ``eval`` reports an error
+line; the oracle's conditional where its condition holds nowhere.
+
 The exhaustive product-rule pass decides the rule for *all* proposition
 pairs of spaces up to 12 atoms.  Evidence counts atoms, so every value the
 check computes for a pair -- E(B), E(A and B), E(T) and the ratios of them
@@ -38,10 +44,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fixtures, oracle
 from .dsl import ast
-from .dsl.compiler import compile_model, lower_predicate
+from .dsl.compiler import UNDEFINED, compile_model, lower_predicate
 from .dsl.diagnostics import ModelError
 from .dsl.parser import parse_model
 from .evidence import (
+    LogOdds,
     Odds,
     check_product_rule,
     check_sum_rule,
@@ -223,10 +230,8 @@ def odds_reciprocity_suite(rng: random.Random, cases: int = 500) -> SuiteResult:
         prop = _random_proposition(rng, _random_single_dim_space(rng))
         forward = odds(prop)
         backward = odds(~prop)
-        if forward.is_infinite:
-            ok = backward.is_zero
-        elif backward.is_infinite:
-            ok = forward.is_zero
+        if forward.is_infinite or backward.is_infinite:
+            ok = forward.is_zero or backward.is_zero
         else:
             ok = forward.ratio * backward.ratio == Hyperrational(1)
         return None if ok else f"O(A) = {forward}, O(not A) = {backward}"
@@ -256,30 +261,22 @@ def monotonicity_suite(rng: random.Random, cases: int = 1000) -> SuiteResult:
 _SCALE_DEPENDENT_KINDS = ("E", "atomic")  # absolute evidence keeps the scale
 
 
-def _defined(runner: Callable[[], object]):
-    """``runner()``, or None where the answer divides by zero."""
+def _defined(runner: Callable[[], object], undefined=UNDEFINED):
+    """``runner()``, or None where it raises ``undefined``: by default, where
+    the engine's answer is undefined."""
     try:
         return runner()
-    except ZeroDivisionError:
+    except undefined:
         return None
 
 
-def _comparable_result(kind: str, runner: Callable[[], object]):
-    """An engine answer as plain values: a ``Fraction`` for a probability
-    or finite odds, ``str`` of infinite odds, a tuple of rows for a table,
-    and None for an undefined answer."""
-    result = _defined(runner)
-    if result is None:
-        return None
-    if kind in ("P", "P_cond"):
-        return result.as_fraction()
-    if kind == "O":
-        return str(result) if result.is_infinite else result.ratio.as_fraction()
-    if kind == "L":
-        return (result.odds.as_fraction(), result.approx)
-    if kind == "table":
-        return tuple((name, value.as_fraction()) for name, value in result)
-    raise ValueError(f"no comparable form for query kind {kind!r}")
+def _text(answer) -> str:
+    """An answer as a failure line shows it, as ``eval`` would: no repr."""
+    if isinstance(answer, list):  # a table's rows
+        return "; ".join(f"{name}: {value}" for name, value in answer)
+    if isinstance(answer, LogOdds):
+        return f"{answer.approx} (log of odds {answer.odds})"
+    return str(answer)
 
 
 def scale_invariance_suite(
@@ -288,8 +285,7 @@ def scale_invariance_suite(
     """Every ratio query answers identically on the finite and the scaled
     compile of the same model.  Absolute-evidence and atomic queries are
     scale-dependent by design and sit out."""
-    if models is None:
-        models = builtin_models()
+    models = builtin_models() if models is None else models
     failures = []
     cases = 0
     skipped_models = []
@@ -304,11 +300,10 @@ def scale_invariance_suite(
             if query_f.kind in _SCALE_DEPENDENT_KINDS:
                 continue
             cases += 1
-            value_f = _comparable_result(query_f.kind, query_f.evaluate)
-            value_s = _comparable_result(query_s.kind, query_s.evaluate)
+            value_f, value_s = _defined(query_f.evaluate), _defined(query_s.evaluate)
             if value_f != value_s:
                 failures.append(
-                    f"{name}: {query_f.text}: finite {value_f} != scaled {value_s}"
+                    f"{name}: {query_f.text}: finite {_text(value_f)} != scaled {_text(value_s)}"
                 )
     notes = f"skipped models: {', '.join(skipped_models)}" if skipped_models else ""
     return SuiteResult("scale invariance", cases, failures, notes)
@@ -427,12 +422,11 @@ def _oracle_dimensions(model: ast.Model):
             dims.append((decl.name, tuple(decl.labels)))
         else:
             width = (decl.high - decl.low) / decl.tranches
-            labels = tuple(str(i) for i in range(decl.tranches))
             bounds[decl.name] = {
                 str(i): (decl.low + width * i, decl.low + width * (i + 1))
                 for i in range(decl.tranches)
             }
-            dims.append((decl.name, labels))
+            dims.append((decl.name, tuple(bounds[decl.name])))
     return dims, bounds
 
 
@@ -440,14 +434,14 @@ def _oracle_conditional(dims, pred, given, bounds: _Bounds | None = None):
     return _defined(
         lambda: oracle.conditional_probability(
             dims, oracle_predicate(pred, bounds), oracle_predicate(given, bounds)
-        )
+        ),
+        ZeroDivisionError,  # where ``given`` holds nowhere
     )
 
 
-def _odds_form(p: Fraction):
-    """The odds ``p / (1 - p)`` of a probability, in the form
-    ``_comparable_result`` gives an engine's odds."""
-    return str(Odds(None)) if p == 1 else p / (1 - p)
+def _odds_form(p: Fraction) -> Odds:
+    """The odds ``p / (1 - p)`` of a probability."""
+    return Odds(None) if p == 1 else Odds(p / (1 - p))
 
 
 def oracle_equivalence_suite(
@@ -457,8 +451,7 @@ def oracle_equivalence_suite(
 ) -> SuiteResult:
     """Engine probabilities equal brute-force enumeration exactly, on
     randomized spaces/predicates and on every bundled model."""
-    if models is None:
-        models = builtin_models()
+    models = builtin_models() if models is None else models
     failures = []
     cases = 0
 
@@ -467,7 +460,7 @@ def oracle_equivalence_suite(
         pred = _random_predicate(rng, dims)
         space = build_finite_space(dims)
         target = lower_predicate(space, pred)
-        engine = _comparable_result("P", lambda: probability(target))
+        engine = probability(target)
         counted = oracle.probability(dims, oracle_predicate(pred))
         cases += 1
         if engine != counted:
@@ -479,9 +472,7 @@ def oracle_equivalence_suite(
             given = _random_predicate(rng, dims)
             cases += 1
             reference = lower_predicate(space, given)
-            engine = _comparable_result(
-                "P_cond", lambda: conditional_probability(target, reference)
-            )
+            engine = _defined(lambda: conditional_probability(target, reference))
             counted = _oracle_conditional(dims, pred, given)
             if engine != counted:
                 failures.append(
@@ -501,25 +492,25 @@ def oracle_equivalence_suite(
             return oracle.probability(dims, oracle_predicate(pred, bounds))
 
         blocks = {part.name: part.blocks for part in model.partitions}
-        # The oracle's answer to each query kind it can check, in the form
-        # _comparable_result gives the engine's.
+        # The oracle's answer to each query kind it can check, a value the
+        # engine's answer equals exactly when the two agree.
         expected = {
             "P": lambda q: chance(q.predicate),
             "P_cond": lambda q: _oracle_conditional(dims, q.predicate, q.given, bounds),
             "O": lambda q: _odds_form(chance(q.predicate)),
-            "table": lambda q: tuple(
+            "table": lambda q: [
                 (block.name, chance(block.predicate)) for block in blocks[q.partition]
-            ),
+            ],
         }
         for query, prepared in zip(model.queries, compiled.queries):
             if query.kind not in expected:
                 continue
-            engine = _comparable_result(query.kind, prepared.evaluate)
+            engine = _defined(prepared.evaluate)
             counted = expected[query.kind](query)
             cases += len(counted) if query.kind == "table" else 1
             if engine != counted:
                 failures.append(
-                    f"{name}: {prepared.text}: engine {engine} != oracle {counted}"
+                    f"{name}: {prepared.text}: engine {_text(engine)} != oracle {_text(counted)}"
                 )
     notes = f"skipped models: {', '.join(skipped_models)}" if skipped_models else ""
     return SuiteResult("oracle equivalence", cases, failures, notes)
@@ -532,12 +523,8 @@ def substitution_bound(*values: Hyperrational) -> int:
     """An integer beyond every root of every polynomial inside ``values``:
     one plus the largest coefficient-magnitude sum.  Substituting anything
     at or above it preserves signs and hence comparisons."""
-    worst = 1
-    for value in values:
-        for poly in (value.numerator_coefficients, value.denominator_coefficients):
-            total = sum(abs(c) for c in poly)
-            worst = max(worst, total)
-    return worst + 1
+    polys = (p for v in values for p in (v.numerator_coefficients, v.denominator_coefficients))
+    return 1 + max((sum(map(abs, poly)) for poly in polys), default=1)
 
 
 def hyperrational_laws_suite(rng: random.Random, cases: int = 10000) -> SuiteResult:

@@ -549,6 +549,53 @@ def test_check_corrupted_model_exits_1(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_check_counts_an_undefined_log_odds_as_eval_does(capsys, tmp_path):
+    # eval reports L(false) as one error line; both model suites take it as
+    # an undefined answer on either side instead of raising.
+    model = tmp_path / "undefined.evd"
+    model.write_text(
+        'model "u" { dimension d = {a, b} }\nquery L(false)\nquery P(d == a)\n',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check", str(model), "--instances", "1")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 10 and lines[-1] == "seed: 271828"
+    assert all(line.endswith(" cases, ok") for line in lines[:9])
+    assert lines[7] == "scale invariance: 18 cases, ok"  # the fixtures' 16, and L and P
+    code, _, err = run(capsys, "eval", str(model))
+    assert code == 1
+    assert err == f"{model}: error: L(false): log-odds undefined: the proposition has zero evidence\n"
+
+
+def test_check_refuses_a_model_that_does_not_compile_as_eval_does(capsys, tmp_path):
+    model = tmp_path / "split.evd"
+    model.write_text(
+        'model "s" { continuum x from 0 to 10 tranches 10 }\nquery P(x < 2.5)\n',
+        encoding="utf-8",
+    )
+    refusal = (
+        f"{model}:2:9: error: threshold 5/2 splits tranche [2,3) of 'x'; "
+        "rebuild with a finer tranche count\n"
+    )
+    assert run(capsys, "check", str(model), "--instances", "1") == (1, "", refusal)
+    assert run(capsys, "eval", str(model)) == (1, "", refusal)
+
+
+def test_check_skips_a_model_that_compiles_only_scaled(capsys, tmp_path):
+    # Aleph tranches are refused by a finite compile: the model is valid,
+    # and the two suites that compile it finite skip it.
+    model = tmp_path / "aleph.evd"
+    model.write_text(
+        'model "a" { continuum x from 0 to 10 tranches aleph }\nquery P(true)\n',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check", str(model), "--instances", "1")
+    assert (code, err) == (0, "")
+    skipped = [line for line in out.splitlines() if line.endswith(f"(skipped models: {model})")]
+    assert [line.split(":")[0] for line in skipped] == ["scale invariance", "oracle equivalence"]
+
+
 def test_check_instances_50_matches_golden(capsys):
     code, out, err = run(capsys, "check", "--instances", "50", "--seed", "1")
     assert code == 0 and err == ""

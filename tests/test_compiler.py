@@ -152,6 +152,34 @@ def test_a_hand_built_model_of_10_to_4300_atoms_is_refused_where_the_parser_woul
     assert diagnostic.span == decls[4].span
 
 
+_AT = SourceSpan(7, 19, 2, 3)  # the faulty declaration's span
+
+
+@pytest.mark.parametrize(
+    "decl, message",
+    [
+        (ast.ContinuumDecl("x", 0, 1, 0, _AT), "'x' needs at least one tranche, not 0"),
+        (ast.ContinuumDecl("x", 0, 1, -2, _AT), "'x' needs at least one tranche, not -2"),
+        (ast.ContinuumDecl("x", 1, 1, 4, _AT), "continuum 'x' needs low below high (1 >= 1)"),
+        (ast.DimensionDecl("x", (), _AT), "dimension 'x' has no labels"),
+        (ast.DimensionDecl("x", ("a", "b", "a"), _AT), "dimension 'x' repeats label(s): a"),
+        (ast.DimensionDecl("d", ("c",), _AT), "duplicate dimension name 'd'"),
+    ],
+    ids=["no tranches", "negative tranches", "low not below high", "no labels",
+         "repeated label", "repeated name"],
+)
+def test_a_hand_built_declaration_the_space_refuses_is_a_diagnostic_at_its_span(decl, message):
+    # The parser refuses each of these in its own words; a hand-built tree
+    # reaches the compiler, where the space's refusal lands on the
+    # declaration.  None of them compiles to a space of its own.
+    first = ast.DimensionDecl("d", ("a", "b"), SourceSpan(0, 5, 1, 1))
+    for scaled in (False, True):
+        with pytest.raises(ModelError) as err:
+            compile_model(ast.Model("m", (first, decl), (), (ast.Query("atomic"),)), scaled)
+        [diagnostic] = err.value.diagnostics
+        assert (diagnostic.message, diagnostic.span) == (message, _AT)
+
+
 def test_aleph_tranches_require_scaled():
     source = 'model "q" { continuum t from 0 to 90 tranches aleph }'
     with pytest.raises(ModelError, match="needs a scaled space"):

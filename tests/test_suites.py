@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from evidentia import Hyperrational, Odds, build_finite_space, oracle, probability, suites
+from evidentia import ALEPH, Hyperrational, Odds, build_finite_space, oracle, probability, suites
 from evidentia.dsl import ast, lower_predicate, parse_model
 
 
@@ -60,10 +60,14 @@ def test_scale_invariance_on_fixtures():
 
 
 def test_scale_invariance_skips_unenumerable_models():
-    model = parse_model('model "m" { continuum t from 0 to 1 tranches aleph }')
-    result = suites.scale_invariance_suite([("m", model)])
-    assert result.ok
-    assert "skipped models: m" in result.notes
+    # The oracle suite refuses aleph tranches before it compiles anything.
+    models = [("m", parse_model('model "m" { continuum t from 0 to 1 tranches aleph }'))]
+    for result in (
+        suites.scale_invariance_suite(models),
+        suites.oracle_equivalence_suite(random.Random(0), 0, models=models),
+    ):
+        assert result.ok
+        assert "skipped models: m" in result.notes
 
 
 def test_oracle_equivalence_passes():
@@ -186,6 +190,34 @@ hyperrational = importlib.import_module("evidentia.hyperrational")
 spaces = importlib.import_module("evidentia.spaces")
 
 
+_add, _mul, _lt, _substitute = (
+    Hyperrational.__add__, Hyperrational.__mul__, Hyperrational.__lt__, Hyperrational.substitute
+)
+
+
+def _add_plus_one_after_a_rational(a, b):
+    """a + b, plus one when a is rational and b holds aleph: b + a differs."""
+    total = _add(a, b)
+    return _add(total, 1) if a.is_rational and not b.is_rational else total
+
+
+def _mul_plus_one_before_a_rational(a, b):
+    """a * b, plus one when a holds aleph and b is rational: b * a differs."""
+    product = _mul(a, b)
+    return _add(product, 1) if b.is_rational and not a.is_rational else product
+
+
+def _lt_reversed_before_aleph(a, b):
+    """a < b answered as a > b when b holds aleph."""
+    return _lt(b, a) if not b.is_rational else _lt(a, b)
+
+
+def _substitute_further_for_longer_numerators(value, n):
+    """Substitution at a point past ``n`` that grows with the length of the
+    numerator: still past every root, but not one point for every value."""
+    return _substitute(value, n + len(value.numerator_coefficients))
+
+
 def _off_by_one_on_one_pair(prop, given, right=measures.conditional_probability):
     """P(A|B), plus one for the single pair n=5, A=0b10110, B=0b01111: a
     defect that depends on the masks, not on the counts, so no pair chosen
@@ -199,6 +231,27 @@ BROKEN_LAWS = {
         hyperrational, "_poly_gcd", lambda p, q: (1,),
         lambda: suites.hyperrational_laws_suite(random.Random(1), 300),
         (431, 'case 0: division inverts multiplication with a=-9, b=2/(aleph + 2), c=-2/(aleph - 3)'),
+    ),
+    # One operation broken each: every law family of the suite fails.
+    "laws_addition": (
+        Hyperrational, "__add__", _add_plus_one_after_a_rational,
+        lambda: suites.hyperrational_laws_suite(random.Random(1), 300),
+        (193, 'case 0: a+b == b+a with a=-9, b=2/(aleph + 2), c=-2/(aleph - 3)'),
+    ),
+    "laws_multiplication": (
+        Hyperrational, "__mul__", _mul_plus_one_before_a_rational,
+        lambda: suites.hyperrational_laws_suite(random.Random(1), 300),
+        (535, 'case 0: a*b == b*a with a=-9, b=2/(aleph + 2), c=-2/(aleph - 3)'),
+    ),
+    "laws_comparison": (
+        Hyperrational, "__lt__", _lt_reversed_before_aleph,
+        lambda: suites.hyperrational_laws_suite(random.Random(1), 300),
+        (543, 'case 0: exactly one of <, ==, > with a=-9, b=2/(aleph + 2), c=-2/(aleph - 3)'),
+    ),
+    "laws_substitution": (
+        Hyperrational, "substitute", _substitute_further_for_longer_numerators,
+        lambda: suites.hyperrational_laws_suite(random.Random(1), 300),
+        (902, 'case 0: substitution commutes with + with a=-9, b=2/(aleph + 2), c=-2/(aleph - 3)'),
     ),
     "sum_rule": (
         measures, "evidence", _off_by_one(measures.evidence, lambda count: count == 3),
@@ -253,6 +306,11 @@ BROKEN_LAWS = {
         lambda: suites.oracle_equivalence_suite(random.Random(7), 0),
         (2, 'coin: O(face == H): engine infinite-odds != oracle 1'),
     ),
+    "oracle_odds_aleph": (
+        compiler, "odds", lambda prop: Odds(ALEPH),
+        lambda: suites.oracle_equivalence_suite(random.Random(7), 0),
+        (2, 'coin: O(face == H): engine aleph != oracle 1'),
+    ),
 }
 
 
@@ -280,6 +338,37 @@ def test_scale_invariance_sees_a_measure_broken_on_scaled_spaces_only(monkeypatc
     assert (len(result.failures), result.failures[0]) == (
         11, "coin: P(face == H): finite 1/2 != scaled 1"
     )
+
+
+def test_scale_invariance_reports_an_aleph_that_leaks_into_a_ratio(monkeypatch):
+    """Answers are compared as the engine gives them: a ratio that keeps an
+    aleph on the scaled side is a failure line, not an error."""
+    right = measures.evidence
+    monkeypatch.setattr(
+        measures, "evidence", lambda prop: right(prop) * (ALEPH if prop.space.scaled else 1)
+    )
+    result = suites.scale_invariance_suite()
+    assert (len(result.failures), result.failures[0]) == (
+        11, "coin: P(face == H): finite 1/2 != scaled aleph/2"
+    )
+    assert result.failures[2] == (
+        "deck: table(groups): finite aces: 1/13; face: 3/13; numbered: 9/13 "
+        "!= scaled aces: aleph/13; face: 3*aleph/13; numbered: 9*aleph/13"
+    )
+
+
+def test_failure_lines_print_odds_and_log_odds_as_values(monkeypatch):
+    right = compiler.odds
+
+    def doubled_when_scaled(prop):
+        return Odds(right(prop).ratio * 2) if prop.space.scaled else right(prop)
+
+    monkeypatch.setattr(compiler, "odds", doubled_when_scaled)
+    coin = [line for line in suites.scale_invariance_suite().failures if line.startswith("coin")]
+    assert coin == [
+        "coin: O(face == H): finite 1 != scaled 2",
+        "coin: L(face == H): finite 0.000000 (log of odds 1) != scaled 0.693147 (log of odds 2)",
+    ]
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
