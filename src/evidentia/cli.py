@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -121,6 +120,8 @@ def _cmd_eval(args) -> int:
             continue
         records.append(_record(query, result, args.digits))
     if args.format == "json":
+        import json  # only here: text output, the default, never needs it
+
         print(json.dumps(records, indent=2, ensure_ascii=False))
     else:
         for record in records:

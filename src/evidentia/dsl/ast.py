@@ -1,7 +1,8 @@
 """Syntax tree for the model language, plus its two renderers.
 
-Node equality ignores source spans (span fields are marked
-``compare=False``), so a pretty-printed tree reparses to an equal tree.
+Node equality lives in :class:`evidentia._value.Value`, the base of every
+node, and ignores source spans (span fields are marked ``compare=False``),
+so a pretty-printed tree reparses to an equal tree.
 :func:`render_model` emits canonical source text; :func:`dump_tree` emits
 the indented, span-annotated view the CLI ``parse --dump-ast`` command
 prints.
@@ -22,6 +23,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .._value import Value
 from ..hyperrational import _rounded
 from .diagnostics import SourceSpan
 from .lexer import IDENT_PATTERN, NUMBER_PATTERN
@@ -33,52 +35,67 @@ def _span_field():
     return field(default=_NO_SPAN, compare=False, repr=False)
 
 
-class Predicate:
+class Predicate(Value):
     """Base class for boolean predicate nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class TrueLiteral(Predicate):
+    """``true``: every atom."""
+
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FalseLiteral(Predicate):
+    """``false``: no atom."""
+
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LabelIs(Predicate):
+    """``dimension == label``."""
+
     dimension: str
     label: str
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LabelIn(Predicate):
+    """``dimension in {label, ...}``."""
+
     dimension: str
     labels: tuple[str, ...]
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Comparison(Predicate):
+    """``dimension op value`` on a continuum."""
+
     dimension: str
     op: str  # one of < <= > >=
     value: Fraction
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class NotPred(Predicate):
+    """``not operand``."""
+
     operand: Predicate
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Chain(Predicate):
+    """Two or more operands under one connective: the base of
+    :class:`AndPred` and :class:`OrPred`."""
+
     operands: tuple[Predicate, ...]
     span: SourceSpan = _span_field()
 
@@ -95,15 +112,19 @@ class OrPred(_Chain):
     """``a or b or ...``: one node per chain."""
 
 
-@dataclass(frozen=True)
-class DimensionDecl:
+@dataclass(frozen=True, eq=False, repr=False)
+class DimensionDecl(Value):
+    """``dimension name = {label, ...}``."""
+
     name: str
     labels: tuple[str, ...]
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
-class ContinuumDecl:
+@dataclass(frozen=True, eq=False, repr=False)
+class ContinuumDecl(Value):
+    """``continuum name from low to high tranches count``."""
+
     name: str
     low: Fraction
     high: Fraction
@@ -115,22 +136,28 @@ class ContinuumDecl:
         return 1 if self.tranches is None else self.tranches
 
 
-@dataclass(frozen=True)
-class Block:
+@dataclass(frozen=True, eq=False, repr=False)
+class Block(Value):
+    """``name: predicate;``, one block of a partition."""
+
     name: str
     predicate: Predicate
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
-class PartitionDecl:
+@dataclass(frozen=True, eq=False, repr=False)
+class PartitionDecl(Value):
+    """``partition name { block ... }``."""
+
     name: str
     blocks: tuple[Block, ...]
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
-class Query:
+@dataclass(frozen=True, eq=False, repr=False)
+class Query(Value):
+    """``query kind(...)``, with the parts its kind takes."""
+
     kind: str  # P | P_cond | O | L | E | table | atomic
     predicate: Predicate | None = None
     given: Predicate | None = None
@@ -138,8 +165,10 @@ class Query:
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
-class Model:
+@dataclass(frozen=True, eq=False, repr=False)
+class Model(Value):
+    """A model file: declarations, partitions and queries in source order."""
+
     name: str
     declarations: tuple[DimensionDecl | ContinuumDecl, ...]
     partitions: tuple[PartitionDecl, ...]

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
+from .._value import Value
 from ..evidence import (
     _log_of_odds,
     atomic_probability,
@@ -74,8 +75,8 @@ _PROVENANCE = {
 UNDEFINED = (ZeroDivisionError, ValueError)
 
 
-@dataclass(frozen=True)
-class PreparedQuery:
+@dataclass(frozen=True, eq=False, repr=False)
+class PreparedQuery(Value):
     """One query and the answer its compile counted (for ``L``, the odds)."""
 
     text: str
@@ -94,8 +95,10 @@ class PreparedQuery:
         return list(answer) if self.kind == "table" else answer
 
 
-@dataclass(frozen=True)
-class CompiledModel:
+@dataclass(frozen=True, eq=False, repr=False)
+class CompiledModel(Value):
+    """A compiled model: its name, its space and its answered queries."""
+
     name: str
     space: PossibilitySpace
     queries: tuple[PreparedQuery, ...]

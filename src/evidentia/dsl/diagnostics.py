@@ -6,9 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .._value import Value
 
-@dataclass(frozen=True)
-class SourceSpan:
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SourceSpan(Value):
     """Half-open range of ``str`` indices into the source, plus the 1-based
     line/column of its start."""
 
@@ -21,8 +23,10 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@dataclass(frozen=True, eq=False, repr=False)
+class Diagnostic(Value):
+    """One problem with the source, and the span it is found at."""
+
     message: str
     span: SourceSpan
 

@@ -477,10 +477,13 @@ class _Parser:
 
 def atom_count(declarations) -> int:
     """The atoms the declarations span (``aleph`` tranches count one), up to
-    the declaration that reaches 10^4300, which is refused at its span."""
+    the declaration that reaches 10^4300, which is refused at its span.  A
+    continuum of fewer than one tranche (only a hand-built tree has one)
+    spans none, so the space refuses it, not the atom limit."""
     atoms = 1
     for decl in declarations:
-        atoms *= len(decl.labels) if isinstance(decl, ast.DimensionDecl) else decl.tranche_count
+        count = len(decl.labels) if isinstance(decl, ast.DimensionDecl) else decl.tranche_count
+        atoms *= max(count, 0)
         if atoms >= _TOO_MANY_ATOMS:
             message = "model spans at least 10^4300 atoms; use coarser tranches"
             raise ModelError([Diagnostic(message, decl.span)])

@@ -18,6 +18,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .hyperrational import Hyperrational, MagnitudeClass, _check_digits, _rounded
 from .spaces import PossibilitySpace, Proposition, StateSpacePartition
 
@@ -97,8 +98,8 @@ def atomic_probability(space: PossibilitySpace) -> Hyperrational:
     return Hyperrational(1) / evidence_top(space)
 
 
-@dataclass(frozen=True)
-class Odds:
+@dataclass(frozen=True, eq=False, repr=False)
+class Odds(Value):
     """Ratio of the evidence for a proposition to the evidence against it.
 
     ``ratio`` is ``None`` for the distinguished infinite-odds value
@@ -128,8 +129,8 @@ def odds(prop: Proposition) -> Odds:
     return Odds(evidence(prop) / against)
 
 
-@dataclass(frozen=True)
-class LogOdds:
+@dataclass(frozen=True, eq=False, repr=False)
+class LogOdds(Value):
     """Log of the odds as a fixed-width decimal, with the exact odds kept
     alongside; the decimal is presentation only."""
 
@@ -177,8 +178,8 @@ def _log_decimal(value: Fraction, digits: int, base: str) -> str:
     return _rounded(*result.as_integer_ratio(), digits)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+@dataclass(frozen=True, eq=False, repr=False)
+class CheckReport(Value):
     """Outcome of one executable rule check, with both sides rendered in
     ``detail`` (by the product rule on failure only)."""
 

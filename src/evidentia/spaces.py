@@ -67,11 +67,12 @@ from math import gcd
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from ._value import Value
 from .hyperrational import ALEPH, Hyperrational
 
 
-@dataclass(frozen=True)
-class Dimension:
+@dataclass(frozen=True, eq=False, repr=False)
+class Dimension(Value):
     """One axis of a possibility space, of one or more distinct labels.
 
     ``grid``, when present, is ``(low, width)``: atom ``i`` along the axis
@@ -477,8 +478,8 @@ def _cells(mask: int) -> Iterator[int]:
     return (cell for cell, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
-@dataclass(frozen=True)
-class Proposition:
+@dataclass(frozen=True, eq=False, repr=False)
+class Proposition(Value):
     """A subset of one space's cells: bit ``i`` of ``mask`` holds cell ``i``.
 
     Immutable: assigning or deleting any attribute raises
@@ -535,8 +536,8 @@ class Proposition:
         return f"Proposition({{{body}}})"
 
 
-@dataclass(frozen=True)
-class StateSpacePartition:
+@dataclass(frozen=True, eq=False, repr=False)
+class StateSpacePartition(Value):
     """Disjoint, exhaustive, named blocks of one space.
 
     Build through :func:`make_partition`, which validates the structure.

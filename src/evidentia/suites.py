@@ -43,6 +43,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fixtures, oracle
+from ._value import Value
 from .dsl import ast
 from .dsl.compiler import UNDEFINED, compile_model, lower_predicate
 from .dsl.diagnostics import ModelError
@@ -66,8 +67,10 @@ from .spaces import PossibilitySpace, Proposition, build_finite_space, build_sca
 DEFAULT_SEED = 271828
 
 
-@dataclass
-class SuiteResult:
+@dataclass(frozen=True, eq=False, repr=False)
+class SuiteResult(Value):
+    """One suite's outcome: its case count, failure lines and notes."""
+
     name: str
     cases: int
     failures: list[str] = field(default_factory=list)
@@ -576,7 +579,7 @@ def hyperrational_laws_suite(rng: random.Random, cases: int = 10000) -> SuiteRes
             complain("substitution commutes with -")
         if prod.substitute(n) != sa * sb:
             complain("substitution commutes with *")
-        if b and quot.substitute(n) != sa / sb:
+        if b and (not sb or quot.substitute(n) != sa / sb):
             complain("substitution commutes with /")
         sd = diff.substitute(n)
         if less != (sd < 0) or equal != (sd == 0) or greater != (sd > 0):

@@ -180,6 +180,20 @@ def test_a_hand_built_declaration_the_space_refuses_is_a_diagnostic_at_its_span(
         assert (diagnostic.message, diagnostic.span) == (message, _AT)
 
 
+def test_continua_of_negative_tranches_get_the_tranche_refusal_not_the_atom_limit():
+    # Two negative counts multiply to 10^10; the space refuses the first.
+    decls = tuple(
+        ast.ContinuumDecl(name, 0, 1, -100000, SourceSpan(k, k + 1, 1, k + 1))
+        for k, name in enumerate("xy")
+    )
+    for count in (1, 2):
+        with pytest.raises(ModelError) as err:
+            compile_model(ast.Model("m", decls[:count], (), (ast.Query("atomic"),)))
+        [diagnostic] = err.value.diagnostics
+        message = "'x' needs at least one tranche, not -100000"
+        assert (diagnostic.message, diagnostic.span) == (message, decls[0].span)
+
+
 def test_aleph_tranches_require_scaled():
     source = 'model "q" { continuum t from 0 to 90 tranches aleph }'
     with pytest.raises(ModelError, match="needs a scaled space"):

@@ -623,6 +623,20 @@ def test_a_chain_is_one_node():
         assert ast.render_predicate(parsed(text)) == text
 
 
+def test_nodes_compare_hash_and_print_without_their_spans():
+    here, there = SourceSpan(0, 6, 1, 1), SourceSpan(9, 15, 2, 3)
+    a, b = ast.LabelIs("d", "a", here), ast.LabelIs("d", "b", there)
+    assert a == ast.LabelIs("d", "a", there) and hash(a) == hash(ast.LabelIs("d", "a"))
+    assert a != b and ast.TrueLiteral(here) == ast.TrueLiteral(there)
+    assert ast.TrueLiteral() != ast.FalseLiteral() and a != ("d", "a")
+    assert ast.AndPred((a, b)) != ast.OrPred((a, b))
+    assert ast.AndPred((a, b), here) == ast.AndPred((a, b), there)
+    assert repr(ast.AndPred((a, b), there)) == (
+        "AndPred(operands=(LabelIs(dimension='d', label='a'), LabelIs(dimension='d', label='b')))"
+    )
+    assert repr(ast.TrueLiteral(here)) == "TrueLiteral()"
+
+
 @pytest.mark.parametrize("node", [ast.AndPred, ast.OrPred])
 def test_a_chain_needs_a_tuple_of_two_or_more_operands(node):
     leaf = ast.TrueLiteral()

@@ -49,6 +49,14 @@ def test_a_summary_lists_three_failures_and_counts_the_rest():
     )
 
 
+def test_suite_results_compare_by_value():
+    result = suites.SuiteResult("laws", 2, ["case 0"], "note")
+    assert result == suites.SuiteResult("laws", 2, ["case 0"], "note")
+    assert result != suites.SuiteResult("laws", 2, [], "note")
+    assert result != suites.SuiteResult("laws", 3, ["case 0"], "note")
+    assert repr(result) == "SuiteResult(name='laws', cases=2, failures=['case 0'], notes='note')"
+
+
 def test_hyperrational_laws_suite_passes():
     assert suites.hyperrational_laws_suite(random.Random(6), 300).ok
 
@@ -323,6 +331,17 @@ def test_suites_catch_a_broken_measure(monkeypatch, law):
     result = run()
     assert not result.ok
     assert (len(result.failures), result.failures[0]) == expected
+
+
+def test_a_nonzero_value_that_substitutes_to_zero_is_a_division_failure(monkeypatch):
+    # Shifted by one, b = -1 substitutes to 0: the law's right side has no
+    # quotient, which is a failure line, not a ZeroDivisionError.
+    monkeypatch.setattr(Hyperrational, "substitute", lambda value, n: _substitute(value, n) + 1)
+    result = suites.hyperrational_laws_suite(random.Random(1), 300)
+    assert (
+        "case 9: substitution commutes with / with a=-2*aleph^2/3 - 2*aleph/3 - 1/9, b=-1, "
+        "c=-1/(4*aleph^2 - 3*aleph + 7)"
+    ) in result.failures
 
 
 def test_scale_invariance_sees_a_measure_broken_on_scaled_spaces_only(monkeypatch):
