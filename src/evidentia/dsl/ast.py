@@ -41,21 +41,27 @@ class Predicate(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class TrueLiteral(Predicate):
     """``true``: every atom."""
 
     span: SourceSpan = _span_field()
 
+    def __init__(self, span=_NO_SPAN):
+        self.__dict__["span"] = span
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class FalseLiteral(Predicate):
     """``false``: no atom."""
 
     span: SourceSpan = _span_field()
 
+    def __init__(self, span=_NO_SPAN):
+        self.__dict__["span"] = span
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class LabelIs(Predicate):
     """``dimension == label``."""
 
@@ -63,8 +69,14 @@ class LabelIs(Predicate):
     label: str
     span: SourceSpan = _span_field()
 
+    def __init__(self, dimension, label, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["dimension"] = dimension
+        attrs["label"] = label
+        attrs["span"] = span
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class LabelIn(Predicate):
     """``dimension in {label, ...}``."""
 
@@ -72,8 +84,14 @@ class LabelIn(Predicate):
     labels: tuple[str, ...]
     span: SourceSpan = _span_field()
 
+    def __init__(self, dimension, labels, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["dimension"] = dimension
+        attrs["labels"] = labels
+        attrs["span"] = span
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class Comparison(Predicate):
     """``dimension op value`` on a continuum."""
 
@@ -82,22 +100,40 @@ class Comparison(Predicate):
     value: Fraction
     span: SourceSpan = _span_field()
 
+    def __init__(self, dimension, op, value, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["dimension"] = dimension
+        attrs["op"] = op
+        attrs["value"] = value
+        attrs["span"] = span
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class NotPred(Predicate):
     """``not operand``."""
 
     operand: Predicate
     span: SourceSpan = _span_field()
 
+    def __init__(self, operand, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["operand"] = operand
+        attrs["span"] = span
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class _Chain(Predicate):
     """Two or more operands under one connective: the base of
     :class:`AndPred` and :class:`OrPred`."""
 
     operands: tuple[Predicate, ...]
     span: SourceSpan = _span_field()
+
+    def __init__(self, operands, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["operands"] = operands
+        attrs["span"] = span
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.operands, tuple) or len(self.operands) < 2:
@@ -112,7 +148,7 @@ class OrPred(_Chain):
     """``a or b or ...``: one node per chain."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class DimensionDecl(Value):
     """``dimension name = {label, ...}``."""
 
@@ -120,8 +156,14 @@ class DimensionDecl(Value):
     labels: tuple[str, ...]
     span: SourceSpan = _span_field()
 
+    def __init__(self, name, labels, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["name"] = name
+        attrs["labels"] = labels
+        attrs["span"] = span
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class ContinuumDecl(Value):
     """``continuum name from low to high tranches count``."""
 
@@ -131,12 +173,20 @@ class ContinuumDecl(Value):
     tranches: int | None  # None means the 'aleph' marker
     span: SourceSpan = _span_field()
 
+    def __init__(self, name, low, high, tranches, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["name"] = name
+        attrs["low"] = low
+        attrs["high"] = high
+        attrs["tranches"] = tranches
+        attrs["span"] = span
+
     @property
     def tranche_count(self) -> int:  # 'aleph' tranches are one cell
         return 1 if self.tranches is None else self.tranches
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Block(Value):
     """``name: predicate;``, one block of a partition."""
 
@@ -144,8 +194,14 @@ class Block(Value):
     predicate: Predicate
     span: SourceSpan = _span_field()
 
+    def __init__(self, name, predicate, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["name"] = name
+        attrs["predicate"] = predicate
+        attrs["span"] = span
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class PartitionDecl(Value):
     """``partition name { block ... }``."""
 
@@ -153,8 +209,14 @@ class PartitionDecl(Value):
     blocks: tuple[Block, ...]
     span: SourceSpan = _span_field()
 
+    def __init__(self, name, blocks, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["name"] = name
+        attrs["blocks"] = blocks
+        attrs["span"] = span
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class Query(Value):
     """``query kind(...)``, with the parts its kind takes."""
 
@@ -164,8 +226,16 @@ class Query(Value):
     partition: str | None = None
     span: SourceSpan = _span_field()
 
+    def __init__(self, kind, predicate=None, given=None, partition=None, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["kind"] = kind
+        attrs["predicate"] = predicate
+        attrs["given"] = given
+        attrs["partition"] = partition
+        attrs["span"] = span
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class Model(Value):
     """A model file: declarations, partitions and queries in source order."""
 
@@ -174,6 +244,14 @@ class Model(Value):
     partitions: tuple[PartitionDecl, ...]
     queries: tuple[Query, ...]
     span: SourceSpan = _span_field()
+
+    def __init__(self, name, declarations, partitions, queries, span=_NO_SPAN):
+        attrs = self.__dict__
+        attrs["name"] = name
+        attrs["declarations"] = declarations
+        attrs["partitions"] = partitions
+        attrs["queries"] = queries
+        attrs["span"] = span
 
 
 # -- rendering back to source ----------------------------------------------

@@ -75,7 +75,7 @@ _PROVENANCE = {
 UNDEFINED = (ZeroDivisionError, ValueError)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class PreparedQuery(Value):
     """One query and the answer its compile counted (for ``L``, the odds)."""
 
@@ -83,6 +83,13 @@ class PreparedQuery(Value):
     kind: str
     provenance: str
     _answer: object
+
+    def __init__(self, text, kind, provenance, _answer):
+        attrs = self.__dict__
+        attrs["text"] = text
+        attrs["kind"] = kind
+        attrs["provenance"] = provenance
+        attrs["_answer"] = _answer
 
     def evaluate(self, digits: int = 6):
         """The answer; ``digits`` only affects log-odds precision.  A table
@@ -95,13 +102,19 @@ class PreparedQuery(Value):
         return list(answer) if self.kind == "table" else answer
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class CompiledModel(Value):
     """A compiled model: its name, its space and its answered queries."""
 
     name: str
     space: PossibilitySpace
     queries: tuple[PreparedQuery, ...]
+
+    def __init__(self, name, space, queries):
+        attrs = self.__dict__
+        attrs["name"] = name
+        attrs["space"] = space
+        attrs["queries"] = queries
 
 
 def _thresholds(pred: ast.Predicate | None, out: dict[str, set]) -> None:
@@ -212,7 +225,7 @@ def compile_model(
         for decl in model.declarations:
             dimensions.append(_dimension(decl, thresholds.get(decl.name, ())))
         space = PossibilitySpace(dimensions, scaled=scaled)
-    except ValueError as exc:  # from a hand-built tree: the parser refuses these
+    except (ValueError, TypeError) as exc:  # from a hand-built tree: the parser refuses these
         if len(dimensions) == len(model.declarations):  # a name's second declaration
             names = [d.name for d in model.declarations]
             decl = next(d for k, d in enumerate(model.declarations) if d.name in names[:k])

@@ -9,7 +9,7 @@ from typing import Iterable
 from .._value import Value
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class SourceSpan(Value):
     """Half-open range of ``str`` indices into the source, plus the 1-based
     line/column of its start."""
@@ -19,16 +19,28 @@ class SourceSpan(Value):
     line: int
     column: int
 
+    def __init__(self, start, end, line, column):
+        attrs = self.__dict__
+        attrs["start"] = start
+        attrs["end"] = end
+        attrs["line"] = line
+        attrs["column"] = column
+
     def __str__(self):
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Diagnostic(Value):
     """One problem with the source, and the span it is found at."""
 
     message: str
     span: SourceSpan
+
+    def __init__(self, message, span):
+        attrs = self.__dict__
+        attrs["message"] = message
+        attrs["span"] = span
 
     def render(self, filename: str = "<model>") -> str:
         return f"{filename}:{self.span.line}:{self.span.column}: error: {self.message}"

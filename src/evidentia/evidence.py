@@ -98,7 +98,7 @@ def atomic_probability(space: PossibilitySpace) -> Hyperrational:
     return Hyperrational(1) / evidence_top(space)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Odds(Value):
     """Ratio of the evidence for a proposition to the evidence against it.
 
@@ -108,6 +108,9 @@ class Odds(Value):
     """
 
     ratio: Hyperrational | None
+
+    def __init__(self, ratio):
+        self.__dict__["ratio"] = ratio
 
     @property
     def is_infinite(self) -> bool:
@@ -129,7 +132,7 @@ def odds(prop: Proposition) -> Odds:
     return Odds(evidence(prop) / against)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class LogOdds(Value):
     """Log of the odds as a fixed-width decimal, with the exact odds kept
     alongside; the decimal is presentation only."""
@@ -138,6 +141,13 @@ class LogOdds(Value):
     approx: str
     base: str
     digits: int
+
+    def __init__(self, odds, approx, base, digits):
+        attrs = self.__dict__
+        attrs["odds"] = odds
+        attrs["approx"] = approx
+        attrs["base"] = base
+        attrs["digits"] = digits
 
 
 def log_odds(prop: Proposition, digits: int = 6, base: str = "e") -> LogOdds:
@@ -178,7 +188,7 @@ def _log_decimal(value: Fraction, digits: int, base: str) -> str:
     return _rounded(*result.as_integer_ratio(), digits)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class CheckReport(Value):
     """Outcome of one executable rule check, with both sides rendered in
     ``detail`` (by the product rule on failure only)."""
@@ -187,6 +197,13 @@ class CheckReport(Value):
     passed: bool
     detail: str
     skipped: bool = False
+
+    def __init__(self, rule, passed, detail, skipped=False):
+        attrs = self.__dict__
+        attrs["rule"] = rule
+        attrs["passed"] = passed
+        attrs["detail"] = detail
+        attrs["skipped"] = skipped
 
 
 #: The reports every passing and every skipped product-rule pair share.

@@ -71,7 +71,7 @@ from ._value import Value
 from .hyperrational import ALEPH, Hyperrational
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Dimension(Value):
     """One axis of a possibility space, of one or more distinct labels.
 
@@ -95,6 +95,14 @@ class Dimension(Value):
     labels: tuple[str, ...]
     grid: tuple[Fraction, Fraction] | None = None
     weights: tuple[int, ...] | None = None
+
+    def __init__(self, name, labels, grid=None, weights=None):
+        attrs = self.__dict__
+        attrs["name"] = name
+        attrs["labels"] = labels
+        attrs["grid"] = grid
+        attrs["weights"] = weights
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.labels:
@@ -146,10 +154,11 @@ class Dimension(Value):
         boundary: one cell per run between two cuts, weighted with its
         tranche count, or one per tranche (``weights`` ``None``) when every
         tranche is cut.  Raises ``TypeError`` for an end that is not an
-        ``int`` or ``Fraction`` or a tranche count that is not an ``int``,
-        and ``ValueError`` for fewer than one tranche or ``low >= high``."""
+        ``int`` or ``Fraction`` or a tranche count that is not an ``int``
+        (a ``bool`` included), and ``ValueError`` for fewer than one tranche
+        or ``low >= high``."""
         _require_exact(name, low, high)
-        if not isinstance(tranches, int):
+        if not isinstance(tranches, int) or isinstance(tranches, bool):
             raise TypeError(f"{name!r} needs a whole number of tranches, not {tranches!r}")
         if tranches < 1:
             raise ValueError(f"{name!r} needs at least one tranche, not {tranches}")
@@ -478,20 +487,28 @@ def _cells(mask: int) -> Iterator[int]:
     return (cell for cell, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Proposition(Value):
     """A subset of one space's cells: bit ``i`` of ``mask`` holds cell ``i``.
 
-    Immutable: assigning or deleting any attribute raises
-    ``FrozenInstanceError``, an ``AttributeError``.  Two propositions are
-    equal when they hold the same cells of the same space object."""
+    Immutable: ``__init__`` fills the two slots through
+    ``object.__setattr__``, and after it assigning or deleting any
+    attribute, a field or another name, raises ``FrozenInstanceError`` (an
+    ``AttributeError``) from :class:`~evidentia._value.Value`.  Two
+    propositions are equal when they hold the same cells of the same space
+    object."""
 
-    # Not slots=True: its generated __setattr__ calls super() on the class
-    # it replaces, so setting an unknown attribute raises TypeError.
+    # Slots written here: slots=True would make dataclasses build the class
+    # a second time.
     __slots__ = ("space", "mask")
 
     space: PossibilitySpace
     mask: int
+
+    def __init__(self, space, mask):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", mask)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.mask < 0 or self.mask.bit_length() > self.space._cells:
@@ -536,7 +553,7 @@ class Proposition(Value):
         return f"Proposition({{{body}}})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class StateSpacePartition(Value):
     """Disjoint, exhaustive, named blocks of one space.
 
@@ -545,6 +562,11 @@ class StateSpacePartition(Value):
 
     space: PossibilitySpace
     blocks: tuple[tuple[str, Proposition], ...]
+
+    def __init__(self, space, blocks):
+        attrs = self.__dict__
+        attrs["space"] = space
+        attrs["blocks"] = blocks
 
 
 def _describe_atoms(space: PossibilitySpace, mask: int, limit: int = 3) -> str:

@@ -67,7 +67,7 @@ from .spaces import PossibilitySpace, Proposition, build_finite_space, build_sca
 DEFAULT_SEED = 271828
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class SuiteResult(Value):
     """One suite's outcome: its case count, failure lines and notes."""
 
@@ -75,6 +75,13 @@ class SuiteResult(Value):
     cases: int
     failures: list[str] = field(default_factory=list)
     notes: str = ""
+
+    def __init__(self, name, cases, failures=None, notes=""):
+        attrs = self.__dict__
+        attrs["name"] = name
+        attrs["cases"] = cases
+        attrs["failures"] = [] if failures is None else failures
+        attrs["notes"] = notes
 
     @property
     def ok(self) -> bool:

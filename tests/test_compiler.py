@@ -164,9 +164,14 @@ _AT = SourceSpan(7, 19, 2, 3)  # the faulty declaration's span
         (ast.DimensionDecl("x", (), _AT), "dimension 'x' has no labels"),
         (ast.DimensionDecl("x", ("a", "b", "a"), _AT), "dimension 'x' repeats label(s): a"),
         (ast.DimensionDecl("d", ("c",), _AT), "duplicate dimension name 'd'"),
+        (ast.ContinuumDecl("x", 0, 1, 2.5, _AT), "'x' needs a whole number of tranches, not 2.5"),
+        (ast.ContinuumDecl("x", 0.0, 1, 4, _AT),
+         "'x' needs exact numbers, not 0.0; use integers or Fraction"),
+        (ast.ContinuumDecl("x", 0, 1, True, _AT), "'x' needs a whole number of tranches, not True"),
     ],
     ids=["no tranches", "negative tranches", "low not below high", "no labels",
-         "repeated label", "repeated name"],
+         "repeated label", "repeated name", "fractional tranches", "float end",
+         "bool tranches"],
 )
 def test_a_hand_built_declaration_the_space_refuses_is_a_diagnostic_at_its_span(decl, message):
     # The parser refuses each of these in its own words; a hand-built tree
