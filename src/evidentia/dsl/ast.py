@@ -20,19 +20,17 @@ field's one decimal printer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .._value import Value
+from .._value import Value, field, record
 from ..hyperrational import _rounded
 from .diagnostics import SourceSpan
 from .lexer import IDENT_PATTERN, NUMBER_PATTERN
 
 _NO_SPAN = SourceSpan(0, 0, 1, 1)
 
-
-def _span_field():
-    return field(default=_NO_SPAN, compare=False, repr=False)
+#: Every node's ``span``: left out of equality, hashing and ``repr``.
+_SPAN_FIELD = field(default=_NO_SPAN, compare=False, repr=False)
 
 
 class Predicate(Value):
@@ -41,33 +39,33 @@ class Predicate(Value):
     __slots__ = ()
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class TrueLiteral(Predicate):
     """``true``: every atom."""
 
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, span=_NO_SPAN):
         self.__dict__["span"] = span
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class FalseLiteral(Predicate):
     """``false``: no atom."""
 
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, span=_NO_SPAN):
         self.__dict__["span"] = span
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class LabelIs(Predicate):
     """``dimension == label``."""
 
     dimension: str
     label: str
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, dimension, label, span=_NO_SPAN):
         attrs = self.__dict__
@@ -76,13 +74,13 @@ class LabelIs(Predicate):
         attrs["span"] = span
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class LabelIn(Predicate):
     """``dimension in {label, ...}``."""
 
     dimension: str
     labels: tuple[str, ...]
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, dimension, labels, span=_NO_SPAN):
         attrs = self.__dict__
@@ -91,14 +89,14 @@ class LabelIn(Predicate):
         attrs["span"] = span
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class Comparison(Predicate):
     """``dimension op value`` on a continuum."""
 
     dimension: str
     op: str  # one of < <= > >=
     value: Fraction
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, dimension, op, value, span=_NO_SPAN):
         attrs = self.__dict__
@@ -108,12 +106,12 @@ class Comparison(Predicate):
         attrs["span"] = span
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class NotPred(Predicate):
     """``not operand``."""
 
     operand: Predicate
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, operand, span=_NO_SPAN):
         attrs = self.__dict__
@@ -121,13 +119,13 @@ class NotPred(Predicate):
         attrs["span"] = span
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class _Chain(Predicate):
     """Two or more operands under one connective: the base of
     :class:`AndPred` and :class:`OrPred`."""
 
     operands: tuple[Predicate, ...]
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, operands, span=_NO_SPAN):
         attrs = self.__dict__
@@ -148,13 +146,13 @@ class OrPred(_Chain):
     """``a or b or ...``: one node per chain."""
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class DimensionDecl(Value):
     """``dimension name = {label, ...}``."""
 
     name: str
     labels: tuple[str, ...]
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, name, labels, span=_NO_SPAN):
         attrs = self.__dict__
@@ -163,7 +161,7 @@ class DimensionDecl(Value):
         attrs["span"] = span
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class ContinuumDecl(Value):
     """``continuum name from low to high tranches count``."""
 
@@ -171,7 +169,7 @@ class ContinuumDecl(Value):
     low: Fraction
     high: Fraction
     tranches: int | None  # None means the 'aleph' marker
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, name, low, high, tranches, span=_NO_SPAN):
         attrs = self.__dict__
@@ -186,13 +184,13 @@ class ContinuumDecl(Value):
         return 1 if self.tranches is None else self.tranches
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class Block(Value):
     """``name: predicate;``, one block of a partition."""
 
     name: str
     predicate: Predicate
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, name, predicate, span=_NO_SPAN):
         attrs = self.__dict__
@@ -201,13 +199,13 @@ class Block(Value):
         attrs["span"] = span
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class PartitionDecl(Value):
     """``partition name { block ... }``."""
 
     name: str
     blocks: tuple[Block, ...]
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, name, blocks, span=_NO_SPAN):
         attrs = self.__dict__
@@ -216,7 +214,7 @@ class PartitionDecl(Value):
         attrs["span"] = span
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class Query(Value):
     """``query kind(...)``, with the parts its kind takes."""
 
@@ -224,7 +222,7 @@ class Query(Value):
     predicate: Predicate | None = None
     given: Predicate | None = None
     partition: str | None = None
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, kind, predicate=None, given=None, partition=None, span=_NO_SPAN):
         attrs = self.__dict__
@@ -235,7 +233,7 @@ class Query(Value):
         attrs["span"] = span
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class Model(Value):
     """A model file: declarations, partitions and queries in source order."""
 
@@ -243,7 +241,7 @@ class Model(Value):
     declarations: tuple[DimensionDecl | ContinuumDecl, ...]
     partitions: tuple[PartitionDecl, ...]
     queries: tuple[Query, ...]
-    span: SourceSpan = _span_field()
+    span: SourceSpan = _SPAN_FIELD
 
     def __init__(self, name, declarations, partitions, queries, span=_NO_SPAN):
         attrs = self.__dict__

@@ -34,10 +34,9 @@ a hand-built tree has one) is a diagnostic at its span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
-from .._value import Value
+from .._value import Value, record
 from ..evidence import (
     _log_of_odds,
     atomic_probability,
@@ -75,7 +74,7 @@ _PROVENANCE = {
 UNDEFINED = (ZeroDivisionError, ValueError)
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class PreparedQuery(Value):
     """One query and the answer its compile counted (for ``L``, the odds)."""
 
@@ -102,7 +101,7 @@ class PreparedQuery(Value):
         return list(answer) if self.kind == "table" else answer
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class CompiledModel(Value):
     """A compiled model: its name, its space and its answered queries."""
 

@@ -3,13 +3,12 @@ parser and compiler."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .._value import Value
+from .._value import Value, record
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class SourceSpan(Value):
     """Half-open range of ``str`` indices into the source, plus the 1-based
     line/column of its start."""
@@ -30,7 +29,7 @@ class SourceSpan(Value):
         return f"{self.line}:{self.column}"
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class Diagnostic(Value):
     """One problem with the source, and the span it is found at."""
 

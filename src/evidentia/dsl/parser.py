@@ -478,12 +478,16 @@ class _Parser:
 def atom_count(declarations) -> int:
     """The atoms the declarations span (``aleph`` tranches count one), up to
     the declaration that reaches 10^4300, which is refused at its span.  A
-    continuum of fewer than one tranche (only a hand-built tree has one)
-    spans none, so the space refuses it, not the atom limit."""
+    declaration of labels that are not a tuple, or of a tranche count that
+    is not a positive ``int`` (only a hand-built tree has one), spans none,
+    so the space refuses it, not the atom limit."""
     atoms = 1
     for decl in declarations:
-        count = len(decl.labels) if isinstance(decl, ast.DimensionDecl) else decl.tranche_count
-        atoms *= max(count, 0)
+        if isinstance(decl, ast.DimensionDecl):
+            count = len(decl.labels) if isinstance(decl.labels, tuple) else 0
+        else:
+            count = decl.tranche_count
+        atoms *= count if isinstance(count, int) and count > 0 else 0
         if atoms >= _TOO_MANY_ATOMS:
             message = "model spans at least 10^4300 atoms; use coarser tranches"
             raise ModelError([Diagnostic(message, decl.span)])

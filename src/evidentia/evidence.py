@@ -15,10 +15,9 @@ them over many random propositions.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ._value import Value
+from ._value import Value, record
 from .hyperrational import Hyperrational, MagnitudeClass, _check_digits, _rounded
 from .spaces import PossibilitySpace, Proposition, StateSpacePartition
 
@@ -98,7 +97,7 @@ def atomic_probability(space: PossibilitySpace) -> Hyperrational:
     return Hyperrational(1) / evidence_top(space)
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class Odds(Value):
     """Ratio of the evidence for a proposition to the evidence against it.
 
@@ -132,7 +131,7 @@ def odds(prop: Proposition) -> Odds:
     return Odds(evidence(prop) / against)
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class LogOdds(Value):
     """Log of the odds as a fixed-width decimal, with the exact odds kept
     alongside; the decimal is presentation only."""
@@ -188,7 +187,7 @@ def _log_decimal(value: Fraction, digits: int, base: str) -> str:
     return _rounded(*result.as_integer_ratio(), digits)
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class CheckReport(Value):
     """Outcome of one executable rule check, with both sides rendered in
     ``detail`` (by the product rule on failure only)."""

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, islice, product
@@ -67,20 +66,21 @@ from math import gcd
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._value import Value
+from ._value import Value, record
 from .hyperrational import ALEPH, Hyperrational
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class Dimension(Value):
-    """One axis of a possibility space, of one or more distinct labels.
+    """One axis of a possibility space: a tuple of one or more distinct
+    labels.
 
     ``grid``, when present, is ``(low, width)``: atom ``i`` along the axis
     stands for the half-open interval ``[low + i*width, low + (i+1)*width)``.
     Continuum declarations discretised into equal tranches carry it so
     numeric comparisons can resolve to whole cells.  Its ends are exact
-    (``int`` or ``Fraction``; a ``float`` is a ``TypeError``) and its width
-    is positive.  Positions and labels are computed in integers over one
+    (``int`` or ``Fraction``; a ``float`` or a ``bool`` is a ``TypeError``)
+    and its width is positive.  Positions and labels are computed in integers over one
     common denominator: atom ``i`` starts at ``(base + i*step)/scale``, so
     placing a threshold is one ``divmod`` and printing a bound one ``gcd``,
     and neither builds a ``Fraction``.
@@ -105,6 +105,10 @@ class Dimension(Value):
         self.__post_init__()
 
     def __post_init__(self):
+        if not isinstance(self.labels, tuple):
+            raise TypeError(
+                f"dimension {self.name!r} needs a tuple of labels, not {self.labels!r}"
+            )
         if not self.labels:
             raise ValueError(f"dimension {self.name!r} has no labels")
         if len(set(self.labels)) != len(self.labels):
@@ -155,7 +159,7 @@ class Dimension(Value):
         tranche count, or one per tranche (``weights`` ``None``) when every
         tranche is cut.  Raises ``TypeError`` for an end that is not an
         ``int`` or ``Fraction`` or a tranche count that is not an ``int``
-        (a ``bool`` included), and ``ValueError`` for fewer than one tranche
+        (a ``bool`` is neither), and ``ValueError`` for fewer than one tranche
         or ``low >= high``."""
         _require_exact(name, low, high)
         if not isinstance(tranches, int) or isinstance(tranches, bool):
@@ -213,7 +217,7 @@ _ORDER_OPS = frozenset(("<", "<=", ">", ">="))
 
 def _require_exact(name: str, *values) -> None:
     for value in values:
-        if not isinstance(value, Rational):
+        if not isinstance(value, Rational) or isinstance(value, bool):
             raise TypeError(
                 f"{name!r} needs exact numbers, not {value!r}; use integers or Fraction"
             )
@@ -487,7 +491,7 @@ def _cells(mask: int) -> Iterator[int]:
     return (cell for cell, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class Proposition(Value):
     """A subset of one space's cells: bit ``i`` of ``mask`` holds cell ``i``.
 
@@ -498,8 +502,6 @@ class Proposition(Value):
     propositions are equal when they hold the same cells of the same space
     object."""
 
-    # Slots written here: slots=True would make dataclasses build the class
-    # a second time.
     __slots__ = ("space", "mask")
 
     space: PossibilitySpace
@@ -553,7 +555,7 @@ class Proposition(Value):
         return f"Proposition({{{body}}})"
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class StateSpacePartition(Value):
     """Disjoint, exhaustive, named blocks of one space.
 

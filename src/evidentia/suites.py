@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import fixtures, oracle
-from ._value import Value
+from ._value import Value, field, record
 from .dsl import ast
 from .dsl.compiler import UNDEFINED, compile_model, lower_predicate
 from .dsl.diagnostics import ModelError
@@ -67,7 +66,7 @@ from .spaces import PossibilitySpace, Proposition, build_finite_space, build_sca
 DEFAULT_SEED = 271828
 
 
-@dataclass(init=False, eq=False, repr=False)
+@record
 class SuiteResult(Value):
     """One suite's outcome: its case count, failure lines and notes."""
 

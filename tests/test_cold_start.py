@@ -1,13 +1,16 @@
 """The rules that keep a cold ``import evidentia.cli`` cheap, and what the
-package's dataclasses keep under them.
+package's value classes keep under them.
 
-No dataclass has a method or a docstring generated for it: each writes its
-own ``__init__`` and takes ``__eq__``, ``__hash__``, ``__setattr__`` and
-``__delattr__`` from :class:`~evidentia._value.Value`.  Each stays a real
+No value class has a method or a docstring generated for it: each writes
+its own ``__init__`` and takes ``__eq__``, ``__hash__``, ``__setattr__`` and
+``__delattr__`` from :class:`~evidentia._value.Value`.  The import loads
+neither ``dataclasses`` nor ``inspect``: each class only notes its fields,
+and its dataclass view is built on first use.  Then each is a real
 dataclass, immutable, copyable and picklable, and the benchmark's tracer
 can still replace fields and hook :class:`~evidentia.spaces.Proposition`'s
-construction.  The import leaves out what only ``--format json`` and
-``check`` use."""
+construction.  The tests of a first use run in a fresh interpreter, where
+no view is built yet.  The import also leaves out what only
+``--format json`` and ``check`` use."""
 
 import copy
 import dataclasses
@@ -17,6 +20,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -71,18 +75,156 @@ def test_every_dataclass_shares_one_eq_and_hash_and_has_no_generated_repr():
             assert written_in == sys.modules[cls.__module__].__file__, cls
 
 
-def test_importing_the_cli_leaves_out_json_and_the_suites():
+def _run_fresh(body: str) -> str:
+    """What ``body`` prints in a fresh ``-I`` interpreter that imports
+    evidentia from this checkout; it must exit 0 and write no error."""
     package_root = str(Path(evidentia.__file__).resolve().parent.parent)
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {package_root!r})\n"
-        "import evidentia.cli\n"
-        "print(sorted({'json', 'evidentia.suites', 'evidentia.oracle'} & set(sys.modules)))\n"
-    )
+    code = f"import sys\nsys.path.insert(0, {package_root!r})\n" + textwrap.dedent(body)
     done = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    return done.stdout
+
+
+def test_importing_the_cli_leaves_out_json_and_the_suites():
+    left_out = {"json", "evidentia.suites", "evidentia.oracle", "dataclasses", "inspect"}
+    printed = _run_fresh(
+        f"""
+        import evidentia.cli
+        print(sorted({left_out!r} & set(sys.modules)))
+        """
+    )
+    assert printed == "[]\n"
+
+
+# -- the dataclass view, built on first use ------------------------------------------
+
+
+def test_a_first_read_through_an_instance_builds_its_class_view():
+    printed = _run_fresh(
+        """
+        from evidentia.dsl import parse_model
+        model = parse_model('model "m" { dimension d = {a} } query P(d == a)')
+        node = model.queries[0].predicate
+        assert "__dataclass_fields__" not in vars(type(node))
+        import dataclasses
+        print([(f.name, f.compare, f.repr) for f in dataclasses.fields(node)])
+        print("__dataclass_fields__" in vars(type(node)), type(node).span)
+        """
+    )
+    # The class attribute stays the span's default, as dataclasses leaves it.
+    assert printed == (
+        "[('dimension', True, True), ('label', True, True), ('span', False, False)]\n"
+        "True 1:1\n"
+    )
+
+
+def test_a_first_read_through_a_subclass_builds_the_base_that_holds_the_fields():
+    printed = _run_fresh(
+        """
+        import dataclasses
+        from evidentia.dsl import ast
+        names = [f.name for f in dataclasses.fields(ast.AndPred)]
+        print(dataclasses.is_dataclass(ast.AndPred), names)
+        classes = {name: cls for name, cls in vars(ast).items() if isinstance(cls, type)}
+        built = {name for name, cls in classes.items() if "__dataclass_params__" in vars(cls)}
+        print(sorted(built - {"Value"}))  # Value holds the unbuilt view
+        print(dataclasses.fields(ast.OrPred) == dataclasses.fields(ast.AndPred))
+        """
+    )
+    assert printed == "True ['operands', 'span']\n['_Chain']\nTrue\n"
+
+
+def test_a_first_replace_of_a_model_builds_its_view():
+    printed = _run_fresh(
+        """
+        import dataclasses
+        from evidentia.dsl import compile_model, parse_model
+        model = parse_model('model "m" { dimension d = {a, b} } query P(d == a)')
+        bare = dataclasses.replace(model, queries=())
+        print(bare.queries, bare.declarations == model.declarations, bare.span == model.span)
+        same = dataclasses.astuple(bare)[:3] == dataclasses.astuple(model)[:3]
+        print(compile_model(bare).queries, same)
+        """
+    )
+    assert printed == "() True True\n() True\n"
+
+
+def test_value_and_predicate_stay_non_dataclasses():
+    printed = _run_fresh(
+        """
+        import dataclasses
+        from evidentia._value import Value
+        from evidentia.dsl import ast
+        dataclasses.fields(ast.NotPred)  # building a subclass's view leaves its bases
+        for cls in (Value, ast.Predicate):
+            try:
+                dataclasses.fields(cls)
+            except TypeError:
+                built = hasattr(cls, "__dataclass_params__")
+                print(cls.__name__, dataclasses.is_dataclass(cls), built)
+        """
+    )
+    assert printed == "Value False False\nPredicate False False\n"
+
+
+def test_match_and_copy_replace_work_before_the_view_is_built():
+    printed = _run_fresh(
+        """
+        from evidentia.dsl import ast
+        match ast.LabelIs("d", "a"):
+            case ast.LabelIs(dimension, label, span):
+                print(dimension, label, span, "dataclasses" in sys.modules)
+        # What copy.replace calls on Python 3.13 and later.
+        node = ast.LabelIs("d", "a").__replace__(label="b")
+        print(node == ast.LabelIs("d", "b"), "__dataclass_fields__" in vars(ast.LabelIs))
+        """
+    )
+    assert printed == "d a 1:1 False\nTrue True\n"
+
+
+def test_a_first_read_of_the_params_builds_the_view():
+    printed = _run_fresh(
+        """
+        from evidentia.dsl.diagnostics import SourceSpan
+        params = SourceSpan.__dataclass_params__
+        print(params.init, params.repr, params.eq, params.frozen)
+        print(list(SourceSpan.__dataclass_fields__))
+        """
+    )
+    assert printed == "False False False False\n['start', 'end', 'line', 'column']\n"
+
+
+def test_threads_first_asking_for_a_view_at_once_see_one_set_of_fields():
+    printed = _run_fresh(
+        """
+        import dataclasses, threading
+        from evidentia.dsl import ast
+        sys.setswitchinterval(1e-6)  # a fresh interpreter: nothing to restore
+        found = [getattr(ast, name) for name in dir(ast)]
+        classes = [cls for cls in found if isinstance(cls, type) and "__record__" in vars(cls)]
+        seen = {}
+
+        def ask(cls, barrier, k):
+            barrier.wait(timeout=30)
+            seen[cls, k] = dataclasses.fields(cls)
+
+        for cls in classes:
+            barrier = threading.Barrier(4)
+            threads = [threading.Thread(target=ask, args=(cls, barrier, k)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), cls
+            # One build: every thread holds the same Field objects.
+            assert len({tuple(map(id, seen[cls, k])) for k in range(4)}) == 1, cls
+            assert [f.compare for f in seen[cls, 0] if f.name == "span"] in ([], [False]), cls
+        print(len(classes))
+        """
+    )
+    assert int(printed) >= 13
 
 
 # -- construction -----------------------------------------------------------------

@@ -168,10 +168,15 @@ _AT = SourceSpan(7, 19, 2, 3)  # the faulty declaration's span
         (ast.ContinuumDecl("x", 0.0, 1, 4, _AT),
          "'x' needs exact numbers, not 0.0; use integers or Fraction"),
         (ast.ContinuumDecl("x", 0, 1, True, _AT), "'x' needs a whole number of tranches, not True"),
+        (ast.ContinuumDecl("x", 0, 1, "3", _AT), "'x' needs a whole number of tranches, not '3'"),
+        (ast.ContinuumDecl("x", False, True, 4, _AT),
+         "'x' needs exact numbers, not False; use integers or Fraction"),
+        (ast.DimensionDecl("x", "ab", _AT), "dimension 'x' needs a tuple of labels, not 'ab'"),
+        (ast.DimensionDecl("x", 5, _AT), "dimension 'x' needs a tuple of labels, not 5"),
     ],
     ids=["no tranches", "negative tranches", "low not below high", "no labels",
          "repeated label", "repeated name", "fractional tranches", "float end",
-         "bool tranches"],
+         "bool tranches", "str tranches", "bool ends", "str labels", "unsized labels"],
 )
 def test_a_hand_built_declaration_the_space_refuses_is_a_diagnostic_at_its_span(decl, message):
     # The parser refuses each of these in its own words; a hand-built tree

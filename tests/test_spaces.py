@@ -225,6 +225,25 @@ def test_dimension_refuses_a_grid_without_positive_exact_width():
             Dimension("x", ("a",), grid)
 
 
+def test_a_bool_is_not_an_exact_number():
+    # bool is an int, so a Rational; as an end it is a slip, not a number.
+    for low, high in [(False, True), (0, True), (False, 1)]:
+        with pytest.raises(TypeError) as exc:
+            Dimension.continuum("x", low, high, 4)
+        bad = low if low is False else high
+        assert str(exc.value) == f"'x' needs exact numbers, not {bad}; use integers or Fraction"
+    with pytest.raises(TypeError, match="'x' needs exact numbers, not True"):
+        Dimension("x", ("a",), (0, True))
+
+
+@pytest.mark.parametrize("labels", ["ab", "a", ["a", "b"], None, 5])
+def test_dimension_labels_must_be_a_tuple(labels):
+    # A str would otherwise be taken apart into one label per character.
+    with pytest.raises(TypeError) as exc:
+        Dimension("x", labels)
+    assert str(exc.value) == f"dimension 'x' needs a tuple of labels, not {labels!r}"
+
+
 def test_a_float_threshold_is_refused():
     dim = continuum(["4"])
     with pytest.raises(TypeError) as exc:
